@@ -26,12 +26,7 @@ from .fixedpoint import (
     solve_fixed_point,
 )
 from .grid import GridSpec, RealField, SpectralField, read_field, write_field
-from .linear import (
-    LinearSolveOptions,
-    sequence_experiment,
-    solve_linear,
-    verify_h4,
-)
+from .linear import LinearSolveOptions, sequence_experiment, solve_linear
 from .nonlinearity import (
     IntervalI,
     Nonlinearity,
@@ -43,7 +38,6 @@ from .nonlinearity import (
 )
 from .pipeline import assemble_problem
 from .spectral import (
-    apply_symbol,
     convolve,
     forward_transform,
     inverse_transform,

@@ -65,15 +65,22 @@ def _build_grid(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg.dimension, cfg.n, cfg.half_width)
 
 
+def _read_on_grid(path: str, gs: GridSpec, role: str) -> RealField:
+    f = read_field(path, role=role)
+    if f.spec != gs:
+        raise ConfigError(f"{role} file {path} has grid {f.spec}, config has {gs}")
+    return f
+
+
 def _build_kernel(cfg: RunConfig, gs: GridSpec) -> RealField:
     if cfg.kernel.type == "file":
-        return read_field(cfg.kernel.file, role="kernel")
+        return _read_on_grid(cfg.kernel.file, gs, "kernel")
     return builders.build_gaussian_kernel(gs, cfg.kernel.sigma, cfg.kernel.amplitude)
 
 
 def _build_source(cfg: RunConfig, gs: GridSpec) -> RealField:
     if cfg.source.type == "file":
-        return read_field(cfg.source.file, role="source")
+        return _read_on_grid(cfg.source.file, gs, "source")
     return builders.build_gaussian_diff_source(
         gs, cfg.source.centers, cfg.source.widths, cfg.source.amplitude
     )

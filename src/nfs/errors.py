@@ -27,10 +27,6 @@ class GridMismatch(NFSError):
     """Two fields do not share the same grid."""
 
 
-class NonHermitianInput(NFSError):
-    """A real result was requested from a spectrum without Hermitian symmetry."""
-
-
 class BadDimension(NFSError):
     """Dimension outside the valid range of a closed-form constant."""
 

@@ -5,9 +5,12 @@ The auxiliary map sends v to the solution u of
     [-lap + lap^2] u = eps * K conv g(u0 + v),
 
 a strict contraction on the closed ball of radius rho in H4 whenever the
-coupling eps stays below the certified threshold. The iteration is plain
-(no acceleration): its geometric decay is itself one of the measured
-quantities.
+coupling eps stays below the certified threshold. The iterate is kept as its
+half spectrum, and a step is one inverse transform (irfftn), the pointwise g,
+one forward transform (rfftn) and a multiply by the fixed spectral multiplier
+eps (2 pi)^(d/2) K^ / (|p|^2 + |p|^4). Norms, the ball check and the residual
+are read off spectra already in hand. The iteration is plain (no
+acceleration): its geometric decay is itself one of the measured quantities.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class ProblemSpec:
     tol_fp: float = 1e-10
     max_iter: int = 200
     mean_policy: str = "reject"
+    lattice: spectral.HalfLattice = field(init=False, repr=False, compare=False)
+    # eps (2 pi)^(d/2) K^ times phase and scale: times dft(G), the spectrum of eps K conv G
+    multiplier: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_same_grid(self.kernel, self.source)
@@ -54,6 +60,10 @@ class ProblemSpec:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not np.any(self.kernel.values) or not np.any(self.source.values):
             raise ValueError("kernel and source must be nontrivial")
+        self.lattice = spectral.half_lattice(self.grid)
+        kh = spectral.forward_transform(self.kernel).coeffs
+        coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
+        self.multiplier = coupling * kh * self.lattice.to_coeffs
 
     @property
     def certified(self) -> bool:
@@ -96,60 +106,91 @@ class ContinuityReport:
     verdict: bool
 
 
+def _h4(grid: GridSpec, coeffs: np.ndarray) -> float:
+    return spectral.norm_h4_spectral(SpectralField(grid, coeffs))
+
+
+def _image(
+    ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Half spectrum of t_g(v), and that of eps K conv g(u0 + v) (None at eps = 0)."""
+    if v_h4 > ps.rho * (1.0 + BALL_SLACK):
+        raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
+    if ps.epsilon == 0.0:
+        return np.zeros(ps.grid.half_shape, dtype=complex), None
+    conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
+    conv *= ps.multiplier
+    if not np.any(conv):
+        return np.zeros_like(conv), conv
+    sol = solve_linear_full(SpectralField(ps.grid, conv), LinearSolveOptions(mean_policy="project"))
+    return sol.u.coeffs, conv
+
+
+def _residual(
+    ps: ProblemSpec, fh: np.ndarray, uh: np.ndarray, conv: Optional[np.ndarray]
+) -> float:
+    """L2 norm of f^ + eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) u^, zero mode dropped."""
+    res = fh - ps.lattice.symbol * uh
+    if conv is not None:
+        res += conv
+    res[(0,) * ps.grid.d] = 0.0
+    return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
+
+
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
-    h4 = spectral.norm_h4(v)
-    if h4 > ps.rho * (1.0 + BALL_SLACK):
-        raise OutsideBall(f"||v||_H4 = {h4} exceeds rho = {ps.rho}")
-    if ps.epsilon == 0.0:
-        return zeros_like(ps.grid, role="iterate")
-    big_g = compose(ps.g, u0, v, ps.interval)
-    conv = spectral.convolve(ps.kernel, big_g)
-    rhs = RealField(ps.grid, ps.epsilon * conv.values, role="source")
-    if not np.any(rhs.values):
-        return zeros_like(ps.grid, role="iterate")
-    sol = solve_linear_full(rhs, LinearSolveOptions(mean_policy="project"))
-    out = sol.u
-    out.role = "iterate"
-    return out
+    out, _ = _image(ps, u0, v, spectral.norm_h4(v))
+    t = spectral.inverse_transform(SpectralField(ps.grid, out))
+    t.role = "iterate"
+    return t
 
 
 def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> SolveReport:
-    """Iterate v <- t_g(v) from v = 0 until the relative H4 step converges."""
-    u0 = solve_linear(ps.source, LinearSolveOptions(mean_policy=ps.mean_policy))
+    """Iterate v <- t_g(v) from v = 0 until the relative H4 step converges.
+
+    The residual of iterate k uses the g(u0 + v_k) that step k + 1 transforms
+    anyway; only the last iterate needs one more forward transform for it.
+    """
+    grid = ps.grid
+    fh = spectral.forward_transform(ps.source)
+    u0h = solve_linear_full(fh, LinearSolveOptions(mean_policy=ps.mean_policy)).u.coeffs
+    u0 = spectral.inverse_transform(SpectralField(grid, u0h))
     u0.role = "solution"
-    v = v_start.copy("iterate") if v_start is not None else zeros_like(ps.grid, "iterate")
+    if v_start is None:
+        v, vh = zeros_like(grid, "iterate"), np.zeros(grid.half_shape, dtype=complex)
+    else:
+        v = v_start.copy("iterate")
+        vh = spectral.forward_transform(v).coeffs
+    v_h4 = _h4(grid, vh)
     trace = IterationTrace()
-    converged = False
     grow_streak = 0
     for _ in range(ps.max_iter):
-        v_next = apply_tg(v, ps, u0)
-        step = spectral.norm_h4(RealField(ps.grid, v_next.values - v.values))
-        trace.iterate_h4.append(spectral.norm_h4(v_next))
+        vh_next, conv = _image(ps, u0, v, v_h4)
+        if trace.step_h4:  # the previous iterate's residual, from this step's G
+            trace.residual.append(_residual(ps, fh.coeffs, u0h + vh, conv))
+        prev = trace.step_h4[-1] if trace.step_h4 else None
+        step = _h4(grid, vh_next - vh)
+        v_h4 = _h4(grid, vh_next)
+        trace.iterate_h4.append(v_h4)
         trace.step_h4.append(step)
-        if len(trace.step_h4) >= 2 and trace.step_h4[-2] > 0:
-            trace.ratio.append(step / trace.step_h4[-2])
-        else:
-            trace.ratio.append(float("nan"))
-        u_now = RealField(ps.grid, u0.values + v_next.values, role="solution")
-        trace.residual.append(residual(u_now, ps))
-        if len(trace.step_h4) >= 2 and step > trace.step_h4[-2]:
-            grow_streak += 1
-            if grow_streak >= 5:
-                raise Diverged("fixed-point step grew for 5 consecutive iterations")
-        else:
-            grow_streak = 0
-        v = v_next
-        if step <= ps.tol_fp * max(1.0, spectral.norm_h4(v)):
-            converged = True
+        trace.ratio.append(step / prev if prev else float("nan"))
+        grow_streak = grow_streak + 1 if prev is not None and step > prev else 0
+        if grow_streak >= 5:
+            raise Diverged("fixed-point step grew for 5 consecutive iterations")
+        vh = vh_next
+        v = spectral.inverse_transform(SpectralField(grid, vh))
+        if step <= ps.tol_fp * max(1.0, v_h4):
             break
-    if not converged:
+    else:
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
-    u_p = v.copy("solution")
-    u = RealField(ps.grid, u0.values + u_p.values, role="solution")
+    u = RealField(grid, u0.values + v.values, role="solution")
+    conv = None  # like residual(), no interval or ball check on the last iterate
+    if ps.epsilon != 0.0:
+        conv = ps.multiplier * spectral.dft(RealField(grid, ps.g.g(u.values)))
+    trace.residual.append(_residual(ps, fh.coeffs, u0h + vh, conv))
     return SolveReport(
         u0=u0,
-        u_p=u_p,
+        u_p=v.copy("solution"),
         u=u,
         trace=trace,
         bounds=ps.bounds,
@@ -165,15 +206,15 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
     residual is meaningful only on the projected complement; projection here
     matches the mean handling of the solve.
     """
-    uh = spectral.forward_transform(u)
-    lu = spectral.apply_symbol(uh, "l_symbol")  # |p|^2 + |p|^4
+    uh = spectral.forward_transform(u).coeffs
+    p2 = ps.lattice.p2
     rhs = RealField(ps.grid, ps.source.values.copy())
     if ps.epsilon != 0.0:
         gu = RealField(ps.grid, np.asarray(ps.g.g(u.values)))
         conv = spectral.convolve(ps.kernel, gu)
         rhs.values = rhs.values + ps.epsilon * conv.values
     rh = spectral.forward_transform(rhs)
-    res = rh.coeffs - lu.coeffs  # [lap - lap^2]u = -(l u)
+    res = rh.coeffs - (uh * p2 + uh * p2**2)  # [lap - lap^2]u = -(|p|^2 + |p|^4) u^
     res[(0,) * ps.grid.d] = 0.0
     return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
 
@@ -184,21 +225,19 @@ def sample_ball(
     """Draw a field with H4 norm uniform in (0, rho].
 
     Spectral coefficients are independent complex Gaussians damped by
-    (1 + |p|^4)^(-1), Hermitian-symmetrized, transformed, then rescaled;
-    the damping spans rough-to-smooth directions while staying in H4.
+    (1 + |p|^4)^(-1) and Hermitian-symmetrized, coeff(k) averaged with
+    conj(coeff(-k)); the half spectrum is transformed, then rescaled. The
+    damping spans rough-to-smooth directions while staying in H4.
     """
-    shape = grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    p2 = spectral.squared_freq(grid)
-    raw = raw / (1.0 + p2**2)
-    rev = raw
-    for axis in range(grid.d):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    sym = 0.5 * (raw + np.conj(rev))
-    f = spectral.inverse_transform(SpectralField(grid, sym), check_hermitian=False)
-    h4 = spectral.norm_h4(f)
+    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    damp = 1.0 + spectral.half_lattice(grid).p2 ** 2
+    mirror = raw[np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape])]
+    half = raw[..., : grid.half_shape[-1]]
+    sym = SpectralField(grid, 0.5 * (half / damp + np.conj(mirror / damp)))
+    h4 = spectral.norm_h4_spectral(sym)
     if h4 == 0.0:
         raise DegeneratePair("sampled field vanished; retry with a new draw")
+    f = spectral.inverse_transform(sym)
     target = rho * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, rho]
     if target == 0.0:
         target = rho
@@ -215,15 +254,14 @@ def measure_contraction(
     ratios: list[float] = []
     distances: list[float] = []
     while len(ratios) < trials:
-        v1 = sample_ball(ps.grid, ps.rho, rng)
-        v2 = sample_ball(ps.grid, ps.rho, rng)
-        dist = spectral.norm_h4(RealField(ps.grid, v1.values - v2.values))
+        v1, v2 = sample_ball(ps.grid, ps.rho, rng), sample_ball(ps.grid, ps.rho, rng)
+        v1h, v2h = (spectral.forward_transform(v).coeffs for v in (v1, v2))
+        dist = _h4(ps.grid, v1h - v2h)
         if dist < 1e-14:
             continue  # degenerate pair, resample
-        t1 = apply_tg(v1, ps, u0)
-        t2 = apply_tg(v2, ps, u0)
-        num = spectral.norm_h4(RealField(ps.grid, t1.values - t2.values))
-        ratios.append(num / dist)
+        t1, _ = _image(ps, u0, v1, _h4(ps.grid, v1h))
+        t2, _ = _image(ps, u0, v2, _h4(ps.grid, v2h))
+        ratios.append(_h4(ps.grid, t1 - t2) / dist)
         distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
     return ContractionStats(

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NFSError
+from .errors import ConfigError, GridMismatch, NFSError
 
 MAGIC = b"NFS1"
+HEADER = struct.Struct("<4sIId")  # magic, d, n, half_width
 
 DEFAULT_MEMORY_BUDGET_MB = 4096
 
@@ -57,6 +58,11 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
 
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a real field's half spectrum: the last axis keeps k = 0 .. n/2."""
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
+
     def axis_coords(self) -> np.ndarray:
         """Sample positions along one axis."""
         return -self.half_width + self.spacing * np.arange(self.n)
@@ -96,15 +102,15 @@ class RealField:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients on the dual lattice, FFT layout."""
+    """Half spectrum of a real field on the dual lattice, rfftn layout."""
 
     spec: GridSpec
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.spec.shape:
-            self.coeffs = self.coeffs.reshape(self.spec.shape)
+        if self.coeffs.shape != self.spec.half_shape:
+            self.coeffs = self.coeffs.reshape(self.spec.half_shape)
 
 
 def check_same_grid(a, b):
@@ -128,17 +134,18 @@ def write_field(path: str, f: RealField) -> None:
 
 
 def read_field(path: str, role: str = "generic") -> RealField:
-    """Read an NFS1 dump; rejects wrong magic or truncated payload."""
+    """Read an NFS1 dump; a malformed file is a configuration error."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(HEADER.size)
+        if len(header) != HEADER.size:
+            raise ConfigError(f"truncated NFS1 header ({len(header)} bytes) in {path}")
+        magic, d, n, half_width = HEADER.unpack(header)
         if magic != MAGIC:
-            raise NFSError(f"bad magic {magic!r} in {path}")
-        d, n = struct.unpack("<II", fh.read(8))
-        (half_width,) = struct.unpack("<d", fh.read(8))
+            raise ConfigError(f"bad magic {magic!r} in {path}")
         spec = GridSpec(d, n, half_width)
         payload = fh.read()
         if len(payload) != spec.size * 8:
-            raise NFSError(
+            raise ConfigError(
                 f"payload length {len(payload)} != expected {spec.size * 8} in {path}"
             )
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)

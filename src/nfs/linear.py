@@ -15,7 +15,7 @@ import numpy as np
 from . import spectral
 from .bounds import sphere_measure
 from .errors import NonDecayingSource, TrivialSource
-from .grid import GridSpec, RealField, SpectralField
+from .grid import RealField, SpectralField
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class LinearSolveOptions:
 
 @dataclass
 class LinearSolution:
-    u: RealField
+    u: SpectralField  # half spectrum of the solution
     mean_adjustment: float  # zero-mode coefficient removed from f (0 if none)
 
 
@@ -49,45 +49,33 @@ class SequenceReport:
         return all(self.ok)
 
 
-def _zero_index(spec: GridSpec) -> tuple:
-    return (0,) * spec.d
-
-
 def solve_linear_full(
-    f: RealField, opts: LinearSolveOptions = LinearSolveOptions()
+    fh: SpectralField, opts: LinearSolveOptions = LinearSolveOptions()
 ) -> LinearSolution:
-    """Solve the fourth-order problem spectrally, reporting the mean handling."""
-    l2 = spectral.norm_l2(f)
-    if l2 == 0.0:
+    """Divide the right-hand side's half spectrum by |p|^2 + |p|^4, zero mode dropped."""
+    if not np.any(fh.coeffs):
         raise TrivialSource("right-hand side is identically zero")
-    fh = spectral.forward_transform(f)
-    zero = _zero_index(f.spec)
+    zero = (0,) * fh.spec.d
     zero_mass = abs(fh.coeffs[zero])
-    if opts.mean_policy == "reject" and zero_mass > opts.zero_mode_tol * l2:
-        raise NonDecayingSource(
-            f"zero-mode mass {zero_mass:.3e} exceeds {opts.zero_mode_tol:.1e} * "
-            f"||f||_L2 = {opts.zero_mode_tol * l2:.3e}; use mean_policy=project"
-        )
+    if opts.mean_policy == "reject":
+        l2, tol = spectral.norm_l2_spectral(fh), opts.zero_mode_tol
+        if zero_mass > tol * l2:
+            raise NonDecayingSource(
+                f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
+                f"||f||_L2 = {tol * l2:.3e}; use mean_policy=project"
+            )
     mean_adjustment = float(fh.coeffs[zero].real)
-    p2 = spectral.squared_freq(f.spec)
-    denom = p2 + p2**2
-    denom[zero] = 1.0  # symbol zero; mode set to zero below
-    coeffs = fh.coeffs / denom
+    coeffs = fh.coeffs / spectral.half_lattice(fh.spec).symbol
     coeffs[zero] = 0.0
-    u = spectral.inverse_transform(SpectralField(f.spec, coeffs), check_hermitian=False)
-    u.role = "solution"
-    return LinearSolution(u=u, mean_adjustment=mean_adjustment)
+    return LinearSolution(u=SpectralField(fh.spec, coeffs), mean_adjustment=mean_adjustment)
 
 
 def solve_linear(
     f: RealField, opts: LinearSolveOptions = LinearSolveOptions()
 ) -> RealField:
-    return solve_linear_full(f, opts).u
-
-
-def verify_h4(u: RealField) -> float:
-    """H4 norm of a solution, stated with the norm used everywhere else."""
-    return spectral.norm_h4(u)
+    u = spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), opts).u)
+    u.role = "solution"
+    return u
 
 
 def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:

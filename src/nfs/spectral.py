@@ -1,112 +1,82 @@
-"""Forward / inverse transforms, Fourier symbols, convolution, and norms.
+"""Forward / inverse transforms on the real half spectrum, convolution, norms.
 
 The discrete transform is calibrated to the continuum unitary convention
 
     F(p) = (2 pi)^(-d/2) * integral f(x) exp(-i p x) dx,
 
 realized as the rectangle-rule quadrature (dx)^d (2 pi)^(-d/2) * DFT with a
-per-axis phase (-1)^k that accounts for the box starting at -L. Spectral
-quadratures carry the dual weight (dp)^d = (pi/L)^d, so Parseval reads
+per-axis phase (-1)^k that accounts for the box starting at -L. Fields are
+real, so coeff(-k) = conj(coeff(k)) and only the half spectrum of
+`scipy.fft.rfftn` is stored: every k on the first d - 1 axes and
+k = 0 .. n/2 on the last. Spectral quadratures carry the dual weight
+(dp)^d = (pi/L)^d and the Hermitian weight w_k, which counts a stored mode
+together with its conjugate partner: 1 on the self-conjugate planes k = 0
+and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
 
-    ||f||_{L2}^2 = (dp)^d * sum_k |coeff(k)|^2.
+    ||f||_{L2}^2 = (dp)^d * sum_k w_k |coeff(k)|^2.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
-from .errors import NFSError, NonHermitianInput
 from .grid import GridSpec, RealField, SpectralField, check_same_grid
 
-HERMITIAN_TOL = 1e-12
-IMAG_RESIDUE_TOL = 1e-10
+
+@dataclass(frozen=True)
+class HalfLattice:
+    """Per-grid multipliers on the half lattice, in rfftn layout."""
+
+    p2: np.ndarray  # |p_k|^2
+    symbol: np.ndarray  # |p_k|^2 + |p_k|^4, zero mode set to 1 (callers drop it)
+    hermitian: np.ndarray  # w_k along the last axis, broadcastable
+    h4_weight: np.ndarray  # w_k (1 + |p_k|^8)
+    to_coeffs: np.ndarray  # phase * scale: rfftn output -> calibrated coefficients
+    to_dft: np.ndarray  # phase / scale: calibrated coefficients -> irfftn input
 
 
-@lru_cache(maxsize=32)
-def _phase(d: int, n: int) -> np.ndarray:
-    """Per-axis (-1)^k factors combined into the full lattice, FFT layout."""
-    alt = (-1.0) ** np.arange(n)
-    out = alt
-    for _ in range(d - 1):
-        out = np.multiply.outer(out, alt)
-    return out.reshape((n,) * d)
+@lru_cache(maxsize=4)
+def half_lattice(spec: GridSpec) -> HalfLattice:
+    """The grid's half-lattice arrays, built once and read-only: every caller shares them."""
+    pk = spec.axis_freqs()
+    p2, phase = np.zeros(spec.half_shape), np.ones(spec.half_shape)
+    for axis, m in enumerate(spec.half_shape):
+        shape = [1] * spec.d
+        shape[axis] = m
+        p2 = p2 + (pk[:m] ** 2).reshape(shape)
+        phase = phase * ((-1.0) ** np.arange(m)).reshape(shape)
+    symbol = p2 + p2**2
+    symbol[(0,) * spec.d] = 1.0
+    hermitian = np.full(spec.half_shape[-1], 2.0)
+    hermitian[[0, -1]] = 1.0
+    scale = spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0)
+    arrays = (p2, symbol, hermitian, hermitian * (1.0 + p2**4), phase * scale, phase / scale)
+    for a in arrays:
+        a.flags.writeable = False
+    return HalfLattice(*arrays)
 
 
-@lru_cache(maxsize=32)
-def _sq_freq(d: int, n: int, half_width: float) -> np.ndarray:
-    """|p_k|^2 on the dual lattice, FFT layout."""
-    pk = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_width / n)
-    acc = np.zeros((n,) * d)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        acc = acc + (pk**2).reshape(shape)
-    return acc
-
-
-def squared_freq(spec: GridSpec) -> np.ndarray:
-    return _sq_freq(spec.d, spec.n, spec.half_width)
-
-
-SYMBOLS = {
-    "laplacian": lambda p2: -p2,
-    "bilaplacian": lambda p2: p2**2,
-    "l_symbol": lambda p2: p2 + p2**2,
-    "h4_weight": lambda p2: p2**4,
-}
-
-
-def _scale(spec: GridSpec) -> float:
-    return spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0)
+def dft(f: RealField) -> np.ndarray:
+    """Unnormalized half-spectrum DFT of f: forward_transform without phase or scale."""
+    return fft.rfftn(f.reshaped())
 
 
 def forward_transform(f: RealField) -> SpectralField:
     """Quadrature approximation of the continuum unitary Fourier transform."""
-    spec = f.spec
-    coeffs = np.fft.fftn(f.reshaped())
-    coeffs *= _phase(spec.d, spec.n)
-    coeffs *= _scale(spec)
-    return SpectralField(spec, coeffs)
+    coeffs = dft(f)
+    coeffs *= half_lattice(f.spec).to_coeffs
+    return SpectralField(f.spec, coeffs)
 
 
-def is_hermitian(F: SpectralField, tol: float = HERMITIAN_TOL) -> bool:
-    """Check coeff(-k) == conj(coeff(k)) to a relative tolerance."""
-    c = F.coeffs
-    rev = c
-    for axis in range(F.spec.d):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    scale = np.max(np.abs(c))
-    if scale == 0:
-        return True
-    return np.max(np.abs(c - np.conj(rev))) <= tol * scale
-
-
-def inverse_transform(F: SpectralField, check_hermitian: bool = True) -> RealField:
-    """Exact inverse of forward_transform; the imaginary residue is discarded."""
+def inverse_transform(F: SpectralField) -> RealField:
+    """Exact inverse of forward_transform; real by construction."""
     spec = F.spec
-    if check_hermitian and not is_hermitian(F, 1e-8):
-        raise NonHermitianInput("spectrum lacks Hermitian symmetry for a real result")
-    work = F.coeffs * (_phase(spec.d, spec.n) / _scale(spec))
-    values = np.fft.ifftn(work)
-    scale = np.max(np.abs(values))
-    if scale > 0 and np.max(np.abs(values.imag)) > IMAG_RESIDUE_TOL * scale:
-        raise NonHermitianInput(
-            f"imaginary residue {np.max(np.abs(values.imag)) / scale:.3e} too large"
-        )
-    return RealField(spec, values.real.reshape(-1))
-
-
-def apply_symbol(F: SpectralField, symbol: str) -> SpectralField:
-    """Multiply the spectrum by a named function of |p_k|."""
-    if symbol not in SYMBOLS:
-        raise NFSError(f"unknown symbol {symbol!r}; choose from {sorted(SYMBOLS)}")
-    p2 = squared_freq(F.spec)
-    if symbol == "l_symbol":
-        # summed mode by mode so it equals bilaplacian minus laplacian exactly
-        return SpectralField(F.spec, F.coeffs * p2 + F.coeffs * p2**2)
-    return SpectralField(F.spec, F.coeffs * SYMBOLS[symbol](p2))
+    values = fft.irfftn(F.coeffs * half_lattice(spec).to_dft, s=spec.shape, overwrite_x=True)
+    return RealField(spec, values.reshape(-1))
 
 
 def convolve(k: RealField, g: RealField) -> RealField:
@@ -116,11 +86,9 @@ def convolve(k: RealField, g: RealField) -> RealField:
     as the inverse transform of (2 pi)^(d/2) * khat * ghat.
     """
     check_same_grid(k, g)
-    spec = k.spec
-    kh = forward_transform(k)
-    gh = forward_transform(g)
-    prod = (2.0 * np.pi) ** (spec.d / 2.0) * kh.coeffs * gh.coeffs
-    return inverse_transform(SpectralField(spec, prod), check_hermitian=False)
+    kh, gh = forward_transform(k).coeffs, forward_transform(g).coeffs
+    prod = (2.0 * np.pi) ** (k.spec.d / 2.0) * kh * gh
+    return inverse_transform(SpectralField(k.spec, prod))
 
 
 def norm_l1(f: RealField) -> float:
@@ -135,10 +103,16 @@ def norm_linf(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
+    mag2 = np.square(F.coeffs.real)
+    mag2 += np.square(F.coeffs.imag)
+    mag2 *= weight
+    return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * np.sum(mag2)))
+
+
 def norm_l2_spectral(F: SpectralField) -> float:
     """L2 norm via Parseval on the dual lattice."""
-    w = F.spec.freq_spacing() ** F.spec.d
-    return float(np.sqrt(w * np.sum(np.abs(F.coeffs) ** 2)))
+    return _weighted_norm(F, half_lattice(F.spec).hermitian)
 
 
 def norm_h4(f: RealField) -> float:
@@ -146,15 +120,11 @@ def norm_h4(f: RealField) -> float:
 
     The bi-Laplacian part is evaluated spectrally through the |p|^8 weight.
     """
-    F = forward_transform(f)
-    return norm_h4_spectral(F)
+    return norm_h4_spectral(forward_transform(f))
 
 
 def norm_h4_spectral(F: SpectralField) -> float:
-    w = F.spec.freq_spacing() ** F.spec.d
-    p2 = squared_freq(F.spec)
-    mag2 = np.abs(F.coeffs) ** 2
-    return float(np.sqrt(w * np.sum((1.0 + p2**4) * mag2)))
+    return _weighted_norm(F, half_lattice(F.spec).h4_weight)
 
 
 def outer_shell_mass_fraction(f: RealField, shell: float = 0.1) -> float:

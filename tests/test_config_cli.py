@@ -234,3 +234,28 @@ class TestCli:
         )
         out = str(tmp_path / "out")
         assert run_cli(["solve-linear", "--config", str(p), "--out", out]) == 0
+
+    def _solve_with_kernel_file(self, tmp_path, kernel_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            "grid.dimension = 5\n"
+            "grid.n = 8\n"
+            "grid.half_width = 12.566370614359172\n"
+            f"kernel.file = {kernel_path}\n"
+        )
+        return run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+
+    def test_truncated_field_header(self, tmp_path, capsys):
+        path = tmp_path / "k.nfs1"
+        path.write_bytes(b"NFS1\x05\x00")
+        assert self._solve_with_kernel_file(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and err.count("\n") == 1
+
+    def test_field_file_grid_mismatch(self, tmp_path, capsys):
+        gs = GridSpec(5, 4, 12.566370614359172)
+        path = str(tmp_path / "k.nfs1")
+        write_field(path, builders.build_gaussian_kernel(gs, 1.0, 1.0))
+        assert self._solve_with_kernel_file(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert "n=4" in err and "n=8" in err and err.count("\n") == 1

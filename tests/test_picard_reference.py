@@ -1,0 +1,163 @@
+"""The half-spectrum Picard solve pinned to a full-spectrum reference.
+
+The reference repeats the arithmetic of a plain complex-FFT implementation
+with `numpy.fft`: each step transforms g(u0 + v), convolves with the kernel
+in real space, solves the linear problem through a forward and an inverse
+transform, and takes the residual through full forward transforms. A second
+test counts the nd-FFTs a solve makes.
+"""
+
+import numpy as np
+import pytest
+import scipy.fft
+
+from nfs import builders, pipeline
+from nfs.fixedpoint import measure_contraction, solve_fixed_point
+from nfs.grid import GridSpec
+from nfs.nonlinearity import Nonlinearity
+from nfs.spectral import norm_l2
+
+
+class FullSpectrum:
+    """Calibrated transform on the full lattice, as the complex-FFT code computes it."""
+
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
+        pk, alt = spec.axis_freqs(), (-1.0) ** np.arange(spec.n)
+        self.p2, self.phase = np.zeros(spec.shape), np.ones(spec.shape)
+        for axis in range(spec.d):
+            shape = [1] * spec.d
+            shape[axis] = spec.n
+            self.p2 = self.p2 + (pk**2).reshape(shape)
+            self.phase = self.phase * alt.reshape(shape)
+        self.scale = spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0)
+        self.dp = spec.freq_spacing() ** spec.d
+        self.zero = (0,) * spec.d
+
+    def forward(self, values):
+        c = np.fft.fftn(values.reshape(self.spec.shape))
+        c *= self.phase
+        c *= self.scale
+        return c
+
+    def inverse(self, c):
+        return np.fft.ifftn(c * (self.phase / self.scale)).real.reshape(-1)
+
+    def convolve(self, kh, values):
+        prod = (2.0 * np.pi) ** (self.spec.d / 2.0) * kh * self.forward(values)
+        return self.inverse(prod)
+
+    def solve(self, values):
+        """Mean-projected linear solve; returns the solution and its spectrum."""
+        denom = self.p2 + self.p2**2
+        denom[self.zero] = 1.0
+        c = self.forward(values) / denom
+        c[self.zero] = 0.0
+        return self.inverse(c), c
+
+    def h4(self, c):
+        return float(np.sqrt(self.dp * np.sum((1.0 + self.p2**4) * np.abs(c) ** 2)))
+
+    def residual(self, ps, kh, u):
+        uh = self.forward(u)
+        rhs = ps.source.values + ps.epsilon * self.convolve(kh, ps.g.g(u))
+        res = self.forward(rhs) - (uh * self.p2 + uh * self.p2**2)
+        res[self.zero] = 0.0
+        return float(np.sqrt(self.dp * np.sum(np.abs(res) ** 2)))
+
+    def apply_tg(self, ps, kh, u0, v):
+        return self.solve(ps.epsilon * self.convolve(kh, ps.g.g(u0 + v)))
+
+
+def reference_solve(ps):
+    fs = FullSpectrum(ps.grid)
+    kh = fs.forward(ps.kernel.values)
+    u0, _ = fs.solve(ps.source.values)
+    v, vh = np.zeros(ps.grid.size), np.zeros(ps.grid.shape, dtype=complex)
+    iterate_h4, step_h4, residual = [], [], []
+    for _ in range(ps.max_iter):
+        v_next, vh_next = fs.apply_tg(ps, kh, u0, v)
+        step_h4.append(fs.h4(vh_next - vh))
+        iterate_h4.append(fs.h4(vh_next))
+        residual.append(fs.residual(ps, kh, u0 + v_next))
+        v, vh = v_next, vh_next
+        if step_h4[-1] <= ps.tol_fp * max(1.0, iterate_h4[-1]):
+            return u0 + v, iterate_h4, step_h4, residual
+    raise AssertionError("reference did not converge")
+
+
+def scenario(d):
+    gs = GridSpec(d, 8, 4.0 * np.pi)
+    kernel = builders.build_gaussian_kernel(gs, 1.0, 1.0)
+    source = builders.build_gaussian_diff_source(gs)
+    return pipeline.assemble_problem(gs, kernel, source, Nonlinearity(coeffs=[1.0])).ps
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_solve_matches_full_spectrum_reference(d):
+    ps = scenario(d)
+    rep = solve_fixed_point(ps)
+    u_ref, iterate_ref, step_ref, residual_ref = reference_solve(ps)
+    tr = rep.trace
+    assert len(tr.step_h4) == len(step_ref)
+    np.testing.assert_allclose(tr.iterate_h4, iterate_ref, rtol=1e-12, atol=0)
+    for step, want, h4 in zip(tr.step_h4, step_ref, iterate_ref):
+        assert abs(step - want) <= 1e-12 * h4
+    assert np.max(np.abs(rep.u.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    f_scale = max(1.0, norm_l2(ps.source))
+    assert tr.residual[-1] <= 1e-8 * f_scale
+    np.testing.assert_allclose(tr.residual, residual_ref, rtol=0, atol=1e-12 * f_scale)
+
+
+def reference_ratios(ps, u0, trials, seed):
+    """Lipschitz ratios on pairs drawn as the full-spectrum sampler draws them."""
+    fs = FullSpectrum(ps.grid)
+    kh = fs.forward(ps.kernel.values)
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        shape = ps.grid.shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        raw = raw / (1.0 + fs.p2**2)
+        rev = raw
+        for axis in range(ps.grid.d):
+            rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
+        f = fs.inverse(0.5 * (raw + np.conj(rev)))
+        target = ps.rho * (1.0 - rng.uniform(0.0, 1.0))
+        return f * (target / fs.h4(fs.forward(f)))
+
+    ratios = []
+    while len(ratios) < trials:
+        v1, v2 = draw(), draw()
+        dist = fs.h4(fs.forward(v1 - v2))
+        if dist < 1e-14:
+            continue
+        _, t1 = fs.apply_tg(ps, kh, u0, v1)
+        _, t2 = fs.apply_tg(ps, kh, u0, v2)
+        ratios.append(fs.h4(t1 - t2) / dist)
+    return ratios
+
+
+def test_contraction_ratios_match_full_spectrum_reference(standard_scenario):
+    ps, u0 = standard_scenario.ps, standard_scenario.u0
+    stats = measure_contraction(ps, trials=20, seed=42, u0=u0)
+    want = reference_ratios(ps, u0.values, trials=20, seed=42)
+    np.testing.assert_allclose(stats.ratios, want, rtol=1e-12, atol=0)
+
+
+def test_fft_count_per_step(standard_scenario, monkeypatch):
+    """At most 3 nd-FFTs per Picard step, plus the u0 solve and the last residual."""
+    calls = []
+    for module in (np.fft, scipy.fft):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    rep = solve_fixed_point(standard_scenario.ps)
+    steps = len(rep.trace.step_h4)
+    assert steps >= 3
+    assert len(calls) <= 3 * steps + 2 + 2
