@@ -23,6 +23,7 @@ from .fixedpoint import (
     measure_contraction,
     residual,
     sample_ball,
+    sample_ball_spectrum,
     solve_fixed_point,
 )
 from .grid import GridSpec, RealField, SpectralField, read_field, write_field

@@ -42,10 +42,10 @@ def _poly_eval_jit(coeffs, x, out):
 
 
 def _poly_eval_np(coeffs, x, out):
-    acc = np.full_like(x, coeffs[0])
-    for j in range(1, coeffs.shape[0]):
-        acc = acc * x + coeffs[j]
-    out[:] = acc
+    out[:] = coeffs[0]
+    for c in coeffs[1:]:
+        out *= x
+        out += c
 
 
 @njit(cache=True)

@@ -9,6 +9,7 @@ every report echoes the fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -17,14 +18,9 @@ import numpy as np
 from . import builders, grid, linear, spectral
 from .config import RunConfig, echo_config, parse_config
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
-from .fixedpoint import (
-    ProblemSpec,
-    measure_contraction,
-    continuity_experiment,
-    solve_fixed_point,
-)
+from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import GridSpec, RealField, read_field, write_field
-from .linear import LinearSolveOptions, sequence_experiment, solve_linear
+from .linear import SEQUENCE_SLACK, LinearSolveOptions, sequence_experiment, solve_linear
 from .nonlinearity import Nonlinearity
 from .pipeline import assemble_problem
 
@@ -43,6 +39,13 @@ CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _violated(lhs: str, measured: float, name: str, bound: float, slack: float) -> int:
+    """Print a failed inequality with its numbers as one stderr line; returns exit code 3."""
+    rhs = f"{name}*(1+slack) = {_fmt(bound * (1.0 + slack))} (slack {slack})"
+    print(f"{lhs} {_fmt(measured)} > {rhs}", file=sys.stderr)
+    return 3
 
 
 def _write_text(path: str, text: str) -> None:
@@ -139,16 +142,8 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     ap = _assemble(cfg)
     report = solve_fixed_point(ap.ps)
     write_field(os.path.join(out, "u.nfs1"), report.u)
-    rows = []
-    for i, (h4, step, ratio, res) in enumerate(
-        zip(
-            report.trace.iterate_h4,
-            report.trace.step_h4,
-            report.trace.ratio,
-            report.trace.residual,
-        )
-    ):
-        rows.append([i, h4, step, ratio, res])
+    tr = report.trace
+    rows = [[i, *r] for i, r in enumerate(zip(tr.iterate_h4, tr.step_h4, tr.ratio, tr.residual))]
     _write_csv(os.path.join(out, "trace.csv"), ["iter", "u_h4", "step_h4", "ratio", "residual"], rows)
     lines = [f"{k} = {_fmt(float(v))}" for k, v in ap.snapshot.fields().items()]
     lines += [
@@ -170,10 +165,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
 def cmd_contraction(cfg: RunConfig, out: str) -> int:
     ap = _assemble(cfg)
     stats = measure_contraction(ap.ps, cfg.trials, cfg.seed, u0=ap.u0)
-    rows = [
-        [i, d, r]
-        for i, (d, r) in enumerate(zip(stats.distances, stats.ratios))
-    ]
+    rows = [[i, d, r] for i, (d, r) in enumerate(zip(stats.distances, stats.ratios))]
     _write_csv(os.path.join(out, "contraction.csv"), ["trial", "v_dist", "ratio"], rows)
     bound = stats.bound if stats.bound is not None else float("nan")
     lines = [
@@ -188,8 +180,8 @@ def cmd_contraction(cfg: RunConfig, out: str) -> int:
     )
     print("\n".join(lines))
     if ap.ps.certified and stats.max_ratio > bound * (1.0 + cfg.slack):
-        print("contraction bound violated", file=sys.stderr)
-        return 3
+        lhs = "contraction bound violated: max_ratio"
+        return _violated(lhs, stats.max_ratio, "eps*sigma", bound, cfg.slack)
     return 0
 
 
@@ -198,20 +190,7 @@ def cmd_continuity(cfg: RunConfig, out: str) -> int:
         raise ConfigError("continuity requires nonlinearity.coeffs2")
     g2 = Nonlinearity(coeffs=cfg.coeffs2)
     ap1 = _assemble(cfg, g2=g2)
-    ps2 = ProblemSpec(
-        grid=ap1.ps.grid,
-        kernel=ap1.ps.kernel,
-        source=ap1.ps.source,
-        g=g2,
-        epsilon=ap1.ps.epsilon,
-        rho=ap1.ps.rho,
-        bounds=ap1.ps.bounds,
-        interval=ap1.ps.interval,
-        tol_fp=ap1.ps.tol_fp,
-        max_iter=ap1.ps.max_iter,
-        mean_policy=ap1.ps.mean_policy,
-    )
-    rep = continuity_experiment(ap1.ps, ps2, slack=cfg.slack)
+    rep = continuity_experiment(ap1.ps, dataclasses.replace(ap1.ps, g=g2), slack=cfg.slack)
     lines = [
         f"measured_h4 = {_fmt(rep.measured)}",
         f"bound = {_fmt(rep.bound)}",
@@ -223,7 +202,10 @@ def cmd_continuity(cfg: RunConfig, out: str) -> int:
         _report_header(cfg) + "\n".join(lines) + "\n",
     )
     print("\n".join(lines))
-    return 0 if rep.verdict else 3
+    if rep.verdict:
+        return 0
+    lhs = "continuity bound violated: measured_h4"
+    return _violated(lhs, rep.measured, "bound", rep.bound, cfg.slack)
 
 
 def cmd_sequences(cfg: RunConfig, out: str) -> int:
@@ -252,7 +234,11 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
         rows,
     )
     print(f"verdict = {rep.verdict}")
-    return 0 if rep.verdict else 3
+    if rep.verdict:
+        return 0
+    k = rep.ok.index(False)  # the first n whose du_h4 exceeds its majorant
+    lhs = f"sequence majorant violated at n = {k + 1}: du_h4"
+    return _violated(lhs, rep.du_h4[k], "majorant", rep.majorant[k], SEQUENCE_SLACK)
 
 
 def cmd_selfcheck(cfg: RunConfig, out: str) -> int:

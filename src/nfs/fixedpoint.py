@@ -9,13 +9,16 @@ coupling eps stays below the certified threshold. The iterate is kept as its
 half spectrum, and a step is one inverse transform (irfftn), the pointwise g,
 one forward transform (rfftn) and a multiply by the fixed spectral multiplier
 eps (2 pi)^(d/2) K^ / (|p|^2 + |p|^4). Norms, the ball check and the residual
-are read off spectra already in hand. The iteration is plain (no
-acceleration): its geometric decay is itself one of the measured quantities.
+are read off spectra already in hand. A contraction pair keeps both draws as
+spectra too: 2 irfftn for the compositions and 1 rfftn of their difference.
+The iteration is plain (no acceleration): its geometric decay is itself one
+of the measured quantities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -110,12 +113,16 @@ def _h4(grid: GridSpec, coeffs: np.ndarray) -> float:
     return spectral.norm_h4_spectral(SpectralField(grid, coeffs))
 
 
+def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
+    if v_h4 > ps.rho * (1.0 + BALL_SLACK):
+        raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
+
+
 def _image(
     ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Half spectrum of t_g(v), and that of eps K conv g(u0 + v) (None at eps = 0)."""
-    if v_h4 > ps.rho * (1.0 + BALL_SLACK):
-        raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
+    _check_ball(ps, v_h4)
     if ps.epsilon == 0.0:
         return np.zeros(ps.grid.half_shape, dtype=complex), None
     conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
@@ -127,10 +134,11 @@ def _image(
 
 
 def _residual(
-    ps: ProblemSpec, fh: np.ndarray, uh: np.ndarray, conv: Optional[np.ndarray]
+    ps: ProblemSpec, r0: np.ndarray, vh: np.ndarray, conv: Optional[np.ndarray]
 ) -> float:
-    """L2 norm of f^ + eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) u^, zero mode dropped."""
-    res = fh - ps.lattice.symbol * uh
+    """L2 norm of r0 + eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped."""
+    res = ps.lattice.symbol * vh
+    np.subtract(r0, res, out=res)
     if conv is not None:
         res += conv
     res[(0,) * ps.grid.d] = 0.0
@@ -156,6 +164,8 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     u0h = solve_linear_full(fh, LinearSolveOptions(mean_policy=ps.mean_policy)).u.coeffs
     u0 = spectral.inverse_transform(SpectralField(grid, u0h))
     u0.role = "solution"
+    r0 = fh.coeffs - ps.lattice.symbol * u0h  # f^ - (|p|^2 + |p|^4) u0^, in every residual
+    del fh, u0h
     if v_start is None:
         v, vh = zeros_like(grid, "iterate"), np.zeros(grid.half_shape, dtype=complex)
     else:
@@ -167,7 +177,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     for _ in range(ps.max_iter):
         vh_next, conv = _image(ps, u0, v, v_h4)
         if trace.step_h4:  # the previous iterate's residual, from this step's G
-            trace.residual.append(_residual(ps, fh.coeffs, u0h + vh, conv))
+            trace.residual.append(_residual(ps, r0, vh, conv))
         prev = trace.step_h4[-1] if trace.step_h4 else None
         step = _h4(grid, vh_next - vh)
         v_h4 = _h4(grid, vh_next)
@@ -186,8 +196,9 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     u = RealField(grid, u0.values + v.values, role="solution")
     conv = None  # like residual(), no interval or ball check on the last iterate
     if ps.epsilon != 0.0:
-        conv = ps.multiplier * spectral.dft(RealField(grid, ps.g.g(u.values)))
-    trace.residual.append(_residual(ps, fh.coeffs, u0h + vh, conv))
+        conv = spectral.dft(RealField(grid, ps.g.g(u.values)))
+        conv *= ps.multiplier
+    trace.residual.append(_residual(ps, r0, vh, conv))
     return SolveReport(
         u0=u0,
         u_p=v.copy("solution"),
@@ -219,49 +230,76 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
     return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
 
 
-def sample_ball(
+@lru_cache(maxsize=4)
+def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of each half-lattice mode's mirror -k mod n, and the damping 0.5 / (1 + |p|^4)."""
+    axes = np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape])
+    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.half_lattice(grid).p2 ** 2)
+
+
+def sample_ball_spectrum(
     grid: GridSpec, rho: float, rng: np.random.Generator
-) -> RealField:
-    """Draw a field with H4 norm uniform in (0, rho].
+) -> SpectralField:
+    """Half spectrum of a field with H4 norm uniform in (0, rho].
 
     Spectral coefficients are independent complex Gaussians damped by
     (1 + |p|^4)^(-1) and Hermitian-symmetrized, coeff(k) averaged with
-    conj(coeff(-k)); the half spectrum is transformed, then rescaled. The
-    damping spans rough-to-smooth directions while staying in H4.
+    conj(coeff(-k)), then rescaled. The damping spans rough-to-smooth
+    directions while staying in H4.
     """
-    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    damp = 1.0 + spectral.half_lattice(grid).p2 ** 2
-    mirror = raw[np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape])]
-    half = raw[..., : grid.half_shape[-1]]
-    sym = SpectralField(grid, 0.5 * (half / damp + np.conj(mirror / damp)))
-    h4 = spectral.norm_h4_spectral(sym)
+    mirror, weight = _ball_tables(grid)
+    raw = rng.standard_normal(2 * grid.size)  # real parts, then imaginary parts
+    re, im = raw[: grid.size], raw[grid.size :]
+    m, sym = grid.half_shape[-1], np.empty(grid.half_shape, dtype=complex)
+    np.multiply(re.reshape(grid.shape)[..., :m] + re[mirror], weight, out=sym.real)
+    np.multiply(im.reshape(grid.shape)[..., :m] - im[mirror], weight, out=sym.imag)
+    h4 = _h4(grid, sym)
     if h4 == 0.0:
         raise DegeneratePair("sampled field vanished; retry with a new draw")
-    f = spectral.inverse_transform(sym)
     target = rho * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, rho]
     if target == 0.0:
         target = rho
-    return RealField(grid, f.values * (target / h4), role="iterate")
+    sym *= target / h4
+    return SpectralField(grid, sym)
+
+
+def sample_ball(
+    grid: GridSpec, rho: float, rng: np.random.Generator
+) -> RealField:
+    """Draw a field with H4 norm uniform in (0, rho]; see sample_ball_spectrum."""
+    f = spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
+    return RealField(grid, f.values, role="iterate")
 
 
 def measure_contraction(
     ps: ProblemSpec, trials: int, seed: int, u0: Optional[RealField] = None
 ) -> ContractionStats:
-    """Sample iterate pairs in the ball and measure the Lipschitz ratio."""
+    """Sample iterate pairs in the ball and measure the Lipschitz ratio.
+
+    t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
+    """
     if u0 is None:
         u0 = solve_linear(ps.source, LinearSolveOptions(mean_policy=ps.mean_policy))
-    rng = np.random.default_rng(seed)
+    grid, rng = ps.grid, np.random.default_rng(seed)
     ratios: list[float] = []
     distances: list[float] = []
     while len(ratios) < trials:
-        v1, v2 = sample_ball(ps.grid, ps.rho, rng), sample_ball(ps.grid, ps.rho, rng)
-        v1h, v2h = (spectral.forward_transform(v).coeffs for v in (v1, v2))
-        dist = _h4(ps.grid, v1h - v2h)
+        v1h, v2h = (sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2))
+        dist = _h4(grid, v1h - v2h)
         if dist < 1e-14:
             continue  # degenerate pair, resample
-        t1, _ = _image(ps, u0, v1, _h4(ps.grid, v1h))
-        t2, _ = _image(ps, u0, v2, _h4(ps.grid, v2h))
-        ratios.append(_h4(ps.grid, t1 - t2) / dist)
+        for vh in (v1h, v2h):
+            _check_ball(ps, _h4(grid, vh))
+        ratio = 0.0
+        if ps.epsilon != 0.0:
+            v1, v2 = (spectral.inverse_transform(SpectralField(grid, vh)) for vh in (v1h, v2h))
+            g1, g2 = (compose(ps.g, u0, v, ps.interval) for v in (v1, v2))
+            diff = spectral.dft(RealField(grid, g1.values - g2.values))
+            diff *= ps.multiplier
+            diff /= ps.lattice.symbol
+            diff[(0,) * grid.d] = 0.0
+            ratio = _h4(grid, diff) / dist
+        ratios.append(ratio)
         distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
     return ContractionStats(

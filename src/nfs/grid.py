@@ -35,13 +35,13 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d < 1:
-            raise NFSError(f"dimension must be >= 1, got {self.d}")
+            raise ConfigError(f"dimension must be >= 1, got {self.d}")
         if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise NFSError(f"n must be a power of two >= 4, got {self.n}")
+            raise ConfigError(f"n must be a power of two >= 4, got {self.n}")
         if not (self.half_width > 0):
-            raise NFSError(f"half_width must be positive, got {self.half_width}")
+            raise ConfigError(f"half_width must be positive, got {self.half_width}")
         if self.size * 8 > _memory_budget_bytes():
-            raise NFSError(
+            raise ConfigError(
                 f"grid of {self.size} points exceeds the memory budget "
                 f"(set NFS_MEMORY_BUDGET_MB to raise it)"
             )

@@ -9,7 +9,9 @@ import pytest
 from nfs import _kernels, builders, cli
 from nfs.config import parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
+from nfs.fixedpoint import ContinuityReport, ContractionStats
 from nfs.grid import GridSpec, read_field, write_field
+from nfs.linear import SequenceReport
 from nfs.spectral import norm_l1
 
 
@@ -108,6 +110,15 @@ class TestKernelDispatchParity:
         _kernels._wrapped_sq_dist_jit(*args, jit)
         _kernels._wrapped_sq_dist_np(*args, ref)
         np.testing.assert_array_equal(jit, ref)
+
+    @pytest.mark.parametrize(
+        "asc", [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -1.3, 0.25], [1.5, -2.0, 0.0, 3.0e-3, 7.0, -0.125]]
+    )
+    def test_poly_eval_is_polyval(self, asc):
+        """The in-place Horner loop rounds exactly as numpy's polyval."""
+        x = np.random.default_rng(len(asc)).uniform(-3.0, 3.0, 1001)
+        got = _kernels.poly_eval(np.asarray(asc)[::-1], x)
+        assert np.array_equal(got, np.polynomial.polynomial.polyval(x, asc))
 
 
 @pytest.fixture()
@@ -252,6 +263,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "truncated" in err and err.count("\n") == 1
 
+    def test_grid_over_memory_budget(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("grid.dimension = 5\ngrid.n = 1024\n")
+        assert run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "memory budget" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_field_file_grid_mismatch(self, tmp_path, capsys):
         gs = GridSpec(5, 4, 12.566370614359172)
         path = str(tmp_path / "k.nfs1")
@@ -259,3 +278,40 @@ class TestCli:
         assert self._solve_with_kernel_file(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert "n=4" in err and "n=8" in err and err.count("\n") == 1
+
+
+class TestVerdictFailures:
+    """A failed certified inequality exits 3 with one stderr line naming its numbers."""
+
+    def _run(self, args, capsys):
+        assert run_cli(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_contraction(self, cfg_path, tmp_path, capsys, monkeypatch):
+        stats = ContractionStats([1.0], [0.5], max_ratio=1.0, mean_ratio=1.0, bound=0.25)
+        monkeypatch.setattr(cli, "measure_contraction", lambda *a, **k: stats)
+        err = self._run(["contraction", "--config", cfg_path, "--out", str(tmp_path)], capsys)
+        assert "max_ratio 1 > eps*sigma*(1+slack) = 0.26250000000000001" in err
+
+    def test_continuity(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            "grid.dimension = 5\n"
+            "grid.n = 8\n"
+            "grid.half_width = 12.566370614359172\n"
+            "nonlinearity.coeffs2 = 1.0, 0.1\n"
+        )
+        rep = ContinuityReport(measured=3.0, bound=2.0, g_distance=0.1, verdict=False)
+        monkeypatch.setattr(cli, "continuity_experiment", lambda *a, **k: rep)
+        err = self._run(["continuity", "--config", str(p), "--out", str(tmp_path)], capsys)
+        assert "measured_h4 3 > bound*(1+slack) = 2.1000000000000001" in err
+
+    def test_sequences(self, cfg_path, tmp_path, capsys, monkeypatch):
+        rep = SequenceReport(
+            df_l1=[1.0, 1.0], df_l2=[1.0, 1.0], du_h4=[0.5, 2.0], majorant=[1.0, 1.0], ok=[True, False]
+        )
+        monkeypatch.setattr(cli, "sequence_experiment", lambda *a, **k: rep)
+        err = self._run(["sequences", "--config", cfg_path, "--out", str(tmp_path)], capsys)
+        assert "n = 2: du_h4 2 > majorant*(1+slack) = 1.01" in err

@@ -15,11 +15,13 @@ from nfs.fixedpoint import (
     measure_contraction,
     residual,
     sample_ball,
+    sample_ball_spectrum,
     solve_fixed_point,
 )
 from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import LinearSolveOptions, solve_linear_full
-from nfs.nonlinearity import Nonlinearity
+from nfs.errors import IntervalExceeded
+from nfs.nonlinearity import IntervalI, Nonlinearity
 from nfs.spectral import norm_h4, norm_l2
 
 
@@ -146,6 +148,13 @@ class TestSampleBall:
         v2 = sample_ball(gs, 1.0, np.random.default_rng(42))
         assert np.array_equal(v1.values, v2.values)
 
+    def test_spectrum_is_the_drawn_field(self):
+        gs = GridSpec(3, 8, 1.0)
+        vh = sample_ball_spectrum(gs, 0.7, np.random.default_rng(3))
+        v = sample_ball(gs, 0.7, np.random.default_rng(3))
+        assert np.array_equal(spectral.inverse_transform(vh).values, v.values)
+        assert 0.0 < spectral.norm_h4_spectral(vh) <= 0.7 * (1 + 1e-12)
+
 
 class TestMeasureContraction:
     def test_zero_epsilon_all_zero(self):
@@ -168,6 +177,17 @@ class TestMeasureContraction:
         s1 = measure_contraction(ps, trials=3, seed=9, u0=standard_scenario.u0)
         s2 = measure_contraction(ps, trials=3, seed=9, u0=standard_scenario.u0)
         assert s1.ratios == s2.ratios
+
+    def test_interval_check_kept(self, standard_scenario):
+        ps = dataclasses.replace(standard_scenario.ps, interval=IntervalI(-1e-3, 1e-3))
+        with pytest.raises(IntervalExceeded):
+            measure_contraction(ps, trials=2, seed=1, u0=standard_scenario.u0)
+
+    def test_equal_compositions_give_zero_ratio(self, standard_scenario):
+        zero = (np.zeros_like,) * 3
+        ps = dataclasses.replace(standard_scenario.ps, g=Nonlinearity(funcs=zero))
+        stats = measure_contraction(ps, trials=3, seed=4, u0=standard_scenario.u0)
+        assert stats.ratios == [0.0, 0.0, 0.0]
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 The reference repeats the arithmetic of a plain complex-FFT implementation
 with `numpy.fft`: each step transforms g(u0 + v), convolves with the kernel
 in real space, solves the linear problem through a forward and an inverse
-transform, and takes the residual through full forward transforms. A second
-test counts the nd-FFTs a solve makes.
+transform, and takes the residual through full forward transforms. The
+contraction sampler's draws, distances and ratios are pinned the same way, and
+two tests count the nd-FFTs a solve and a contraction pair make.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.fft
 
 from nfs import builders, pipeline
-from nfs.fixedpoint import measure_contraction, solve_fixed_point
+from nfs.fixedpoint import measure_contraction, sample_ball, solve_fixed_point
 from nfs.grid import GridSpec
 from nfs.nonlinearity import Nonlinearity
 from nfs.spectral import norm_l2
@@ -109,44 +110,64 @@ def test_solve_matches_full_spectrum_reference(d):
     np.testing.assert_allclose(tr.residual, residual_ref, rtol=0, atol=1e-12 * f_scale)
 
 
-def reference_ratios(ps, u0, trials, seed):
-    """Lipschitz ratios on pairs drawn as the full-spectrum sampler draws them."""
+def reference_draw(fs, rho, rng):
+    """A ball draw symmetrized on the full lattice and transformed in full."""
+    shape = fs.spec.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw = raw / (1.0 + fs.p2**2)
+    rev = raw
+    for axis in range(fs.spec.d):
+        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
+    f = fs.inverse(0.5 * (raw + np.conj(rev)))
+    target = rho * (1.0 - rng.uniform(0.0, 1.0))
+    return f * (target / fs.h4(fs.forward(f)))
+
+
+def reference_pairs(ps, u0, trials, seed):
+    """Lipschitz ratios and H4 distances on pairs drawn as the full-spectrum sampler draws them."""
     fs = FullSpectrum(ps.grid)
     kh = fs.forward(ps.kernel.values)
     rng = np.random.default_rng(seed)
-
-    def draw():
-        shape = ps.grid.shape
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        raw = raw / (1.0 + fs.p2**2)
-        rev = raw
-        for axis in range(ps.grid.d):
-            rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-        f = fs.inverse(0.5 * (raw + np.conj(rev)))
-        target = ps.rho * (1.0 - rng.uniform(0.0, 1.0))
-        return f * (target / fs.h4(fs.forward(f)))
-
-    ratios = []
+    ratios, distances = [], []
     while len(ratios) < trials:
-        v1, v2 = draw(), draw()
+        v1, v2 = reference_draw(fs, ps.rho, rng), reference_draw(fs, ps.rho, rng)
         dist = fs.h4(fs.forward(v1 - v2))
         if dist < 1e-14:
             continue
         _, t1 = fs.apply_tg(ps, kh, u0, v1)
         _, t2 = fs.apply_tg(ps, kh, u0, v2)
         ratios.append(fs.h4(t1 - t2) / dist)
-    return ratios
+        distances.append(dist)
+    return ratios, distances
 
 
 def test_contraction_ratios_match_full_spectrum_reference(standard_scenario):
     ps, u0 = standard_scenario.ps, standard_scenario.u0
     stats = measure_contraction(ps, trials=20, seed=42, u0=u0)
-    want = reference_ratios(ps, u0.values, trials=20, seed=42)
+    want, _ = reference_pairs(ps, u0.values, trials=20, seed=42)
     np.testing.assert_allclose(stats.ratios, want, rtol=1e-12, atol=0)
 
 
-def test_fft_count_per_step(standard_scenario, monkeypatch):
-    """At most 3 nd-FFTs per Picard step, plus the u0 solve and the last residual."""
+def test_contraction_distances_match_full_spectrum_reference(standard_scenario):
+    ps, u0 = standard_scenario.ps, standard_scenario.u0
+    stats = measure_contraction(ps, trials=20, seed=42, u0=u0)
+    _, want = reference_pairs(ps, u0.values, trials=20, seed=42)
+    np.testing.assert_allclose(stats.distances, want, rtol=1e-12, atol=0)
+
+
+def test_sample_ball_matches_reference_draw(standard_scenario):
+    """Same RNG stream, same field: several draws in a row stay aligned."""
+    ps = standard_scenario.ps
+    fs = FullSpectrum(ps.grid)
+    rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(4):
+        got = sample_ball(ps.grid, ps.rho, rng).values
+        want = reference_draw(fs, ps.rho, rng_ref)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def count_nd_ffts(monkeypatch):
+    """Record every numpy.fft / scipy.fft nd-transform call made from now on."""
     calls = []
     for module in (np.fft, scipy.fft):
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
@@ -157,7 +178,21 @@ def test_fft_count_per_step(standard_scenario, monkeypatch):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_fft_count_per_step(standard_scenario, monkeypatch):
+    """At most 3 nd-FFTs per Picard step, plus the u0 solve and the last residual."""
+    calls = count_nd_ffts(monkeypatch)
     rep = solve_fixed_point(standard_scenario.ps)
     steps = len(rep.trace.step_h4)
     assert steps >= 3
     assert len(calls) <= 3 * steps + 2 + 2
+
+
+def test_fft_count_per_contraction_pair(standard_scenario, monkeypatch):
+    """At most 3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference."""
+    calls = count_nd_ffts(monkeypatch)
+    stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
+    assert len(stats.ratios) == 10
+    assert len(calls) <= 3 * 10
