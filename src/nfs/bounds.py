@@ -18,13 +18,6 @@ from .errors import BadDimension, ContractionViolated, NonPositiveInput
 
 
 @dataclass(frozen=True)
-class DimensionParams:
-    d: int
-    sphere_measure: float
-    embedding_constant: float
-
-
-@dataclass(frozen=True)
 class PhiResult:
     alpha: float
     d: int
@@ -46,20 +39,6 @@ class BoundsSnapshot:
     embedding_constant: float
     epsilon_max: float
     sigma: float
-
-    def fields(self) -> dict:
-        return {
-            "d": self.d,
-            "rho": self.rho,
-            "big_m": self.big_m,
-            "u0_h4": self.u0_h4,
-            "k_l1": self.k_l1,
-            "k_l2": self.k_l2,
-            "sphere_measure": self.sphere_measure,
-            "embedding_constant": self.embedding_constant,
-            "epsilon_max": self.epsilon_max,
-            "sigma": self.sigma,
-        }
 
 
 def sphere_measure(d: int) -> float:
@@ -113,51 +92,40 @@ def embedding_constant(d: int, quad_points: int = 400) -> float:
     )
 
 
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
+def _kernel_term(d: int, u0_h4: float, **positive: float) -> tuple[float, float]:
+    """s = T / 16^(4/d) with T = k_l1^2 u^(8/d-2) d |S^d|^(4/d) / ((2 pi)^4 (d-4)), and u.
+
+    Here u = ||u0||_H4 + 1 and q = 4^(4/d). The constants read
+        eps_max = rho / (2 M u^2 sqrt(s + k_l2^2/4)),
+        sigma   = M u sqrt(q s + k_l2^2),
+    and the continuity bound is eps/(1 - eps sigma) u^2 sqrt(s + k_l2^2/4) ||g1 - g2||_C2.
+    Hence eps_max sigma = (rho/u) sqrt((q s + k_l2^2) / (4 s + k_l2^2)) < 1, because
+    q < 4 for d > 4 and rho <= 1 <= u.
+    """
+    if d <= 4:
+        raise BadDimension(f"bound formulas need d >= 5, got {d}")
+    for name, value in positive.items():
         if not (value > 0):
             raise NonPositiveInput(f"{name} must be positive, got {value}")
+    if u0_h4 < 0:
+        raise NonPositiveInput(f"u0_h4 must be nonnegative, got {u0_h4}")
+    u = u0_h4 + 1.0
+    t = positive["k_l1"] ** 2 * u ** (8.0 / d - 2.0) * d / ((2.0 * np.pi) ** 4 * (d - 4))
+    return t * (sphere_measure(d) / 16.0) ** (4.0 / d), u
 
 
 def epsilon_max(
     rho: float, big_m: float, u0_h4: float, k_l1: float, k_l2: float, d: int
 ) -> float:
     """Largest certified coupling: the map contracts for 0 < eps <= eps_max."""
-    if d <= 4:
-        raise BadDimension(f"threshold formula needs d >= 5, got {d}")
-    _check_positive(rho=rho, big_m=big_m, k_l1=k_l1, k_l2=k_l2)
-    if u0_h4 < 0:
-        raise NonPositiveInput(f"u0_h4 must be nonnegative, got {u0_h4}")
-    u = u0_h4 + 1.0
-    bracket = (
-        k_l1**2
-        * u ** (8.0 / d - 2.0)
-        * d
-        / ((2.0 * np.pi) ** 4 * (d - 4))
-        * (sphere_measure(d) / 16.0) ** (4.0 / d)
-        + k_l2**2 / 4.0
-    )
-    return float(rho / (2.0 * big_m * u**2 * np.sqrt(bracket)))
+    s, u = _kernel_term(d, u0_h4, rho=rho, big_m=big_m, k_l1=k_l1, k_l2=k_l2)
+    return float(rho / (2.0 * big_m * u**2 * np.sqrt(s + k_l2**2 / 4.0)))
 
 
 def sigma(big_m: float, u0_h4: float, k_l1: float, k_l2: float, d: int) -> float:
     """Lipschitz constant of the auxiliary map per unit coupling."""
-    if d <= 4:
-        raise BadDimension(f"sigma formula needs d >= 5, got {d}")
-    _check_positive(big_m=big_m, k_l1=k_l1, k_l2=k_l2)
-    if u0_h4 < 0:
-        raise NonPositiveInput(f"u0_h4 must be nonnegative, got {u0_h4}")
-    u = u0_h4 + 1.0
-    brace = (
-        k_l1**2
-        * sphere_measure(d) ** (4.0 / d)
-        * u ** (8.0 / d - 2.0)
-        / ((2.0 * np.pi) ** 4 * 4.0 ** (4.0 / d))
-        * d
-        / (d - 4)
-        + k_l2**2
-    )
-    return float(big_m * u * np.sqrt(brace))
+    s, u = _kernel_term(d, u0_h4, big_m=big_m, k_l1=k_l1, k_l2=k_l2)
+    return float(big_m * u * np.sqrt(4.0 ** (4.0 / d) * s + k_l2**2))
 
 
 def continuity_bound(
@@ -169,18 +137,9 @@ def continuity_bound(
     es = epsilon * snapshot.sigma
     if es >= 1.0:
         raise ContractionViolated(f"epsilon * sigma = {es} >= 1")
-    d = snapshot.d
-    u = snapshot.u0_h4 + 1.0
-    bracket = (
-        snapshot.k_l1**2
-        * u ** (8.0 / d - 2.0)
-        * snapshot.sphere_measure ** (4.0 / d)
-        / (16.0 ** (4.0 / d) * (2.0 * np.pi) ** 4)
-        * d
-        / (d - 4)
-        + snapshot.k_l2**2 / 4.0
-    )
-    return float(epsilon / (1.0 - es) * u**2 * np.sqrt(bracket) * g_diff_c2)
+    k_l2 = snapshot.k_l2
+    s, u = _kernel_term(snapshot.d, snapshot.u0_h4, k_l1=snapshot.k_l1, k_l2=k_l2)
+    return float(epsilon / (1.0 - es) * u**2 * np.sqrt(s + k_l2**2 / 4.0) * g_diff_c2)
 
 
 def make_snapshot(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels, spectral
+from . import spectral
 from .errors import MassLeakage, TrivialField
 from .grid import GridSpec, RealField
 
@@ -18,10 +18,13 @@ SHELL_MASS_LIMIT = 1e-6
 
 
 def _gaussian_hump(grid: GridSpec, center: np.ndarray, width: float) -> np.ndarray:
-    sq = _kernels.wrapped_sq_dist(
-        grid.d, grid.n, grid.spacing, grid.half_width, center
-    )
-    return np.exp(-sq / (2.0 * width**2))
+    # squared periodic distance to `center`, summed axis by axis in forward order
+    coords, period, sq = grid.axis_coords(), 2.0 * grid.half_width, 0.0
+    for axis in range(grid.d):
+        w = coords - center[axis]
+        w -= period * np.floor((w + grid.half_width) / period)
+        sq = sq + (w * w).reshape((grid.n,) + (1,) * (grid.d - 1 - axis))
+    return np.exp(-sq / (2.0 * width**2)).reshape(-1)
 
 
 def _check_gates(f: RealField, what: str) -> None:
@@ -43,7 +46,7 @@ def build_gaussian_kernel(
         raise TrivialField("kernel amplitude is zero")
     center = np.zeros(grid.d)
     values = amplitude * _gaussian_hump(grid, center, sigma)
-    f = RealField(grid, values, role="kernel")
+    f = RealField(grid, values)
     _check_gates(f, "kernel")
     return f
 
@@ -71,7 +74,7 @@ def build_gaussian_diff_source(
     if m2 == 0.0:
         raise TrivialField("second source hump vanished on the grid")
     values = amplitude * (h1 - (m1 / m2) * h2)
-    f = RealField(grid, values, role="source")
+    f = RealField(grid, values)
     _check_gates(f, "source")
     return f
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import builders, grid, linear, spectral
+from . import builders, spectral
 from .config import RunConfig, echo_config, parse_config
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
@@ -68,10 +68,10 @@ def _build_grid(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg.dimension, cfg.n, cfg.half_width)
 
 
-def _read_on_grid(path: str, gs: GridSpec, role: str) -> RealField:
-    f = read_field(path, role=role)
+def _read_on_grid(path: str, gs: GridSpec, what: str) -> RealField:
+    f = read_field(path)
     if f.spec != gs:
-        raise ConfigError(f"{role} file {path} has grid {f.spec}, config has {gs}")
+        raise ConfigError(f"{what} file {path} has grid {f.spec}, config has {gs}")
     return f
 
 
@@ -114,7 +114,7 @@ def _report_header(cfg: RunConfig) -> str:
 
 def cmd_bounds(cfg: RunConfig, out: str) -> int:
     ap = _assemble(cfg)
-    lines = [f"{k} = {_fmt(float(v))}" for k, v in ap.snapshot.fields().items()]
+    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
     lines.append(f"interval.upper = {_fmt(ap.interval.upper)}")
     lines.append(f"epsilon_resolved = {_fmt(ap.ps.epsilon)}")
     _write_text(
@@ -145,15 +145,15 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     tr = report.trace
     rows = [[i, *r] for i, r in enumerate(zip(tr.iterate_h4, tr.step_h4, tr.ratio, tr.residual))]
     _write_csv(os.path.join(out, "trace.csv"), ["iter", "u_h4", "step_h4", "ratio", "residual"], rows)
-    lines = [f"{k} = {_fmt(float(v))}" for k, v in ap.snapshot.fields().items()]
+    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
     lines += [
         f"epsilon = {_fmt(ap.ps.epsilon)}",
         f"guarantee = {report.guarantee}",
         f"converged = {report.converged}",
-        f"iterations = {len(report.trace.step_h4)}",
-        f"u_p_h4 = {_fmt(spectral.norm_h4(report.u_p))}",
+        f"iterations = {len(tr.step_h4)}",
+        f"u_p_h4 = {_fmt(tr.iterate_h4[-1])}",
         f"u_h4 = {_fmt(spectral.norm_h4(report.u))}",
-        f"final_residual = {_fmt(report.trace.residual[-1])}",
+        f"final_residual = {_fmt(tr.residual[-1])}",
     ]
     _write_text(
         os.path.join(out, "solve.txt"), _report_header(cfg) + "\n".join(lines) + "\n"
@@ -348,6 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
+        cfg.validate()
         if args.command in CERTIFIED_COMMANDS and cfg.dimension < 5:
             raise ConfigError(
                 f"command {args.command!r} needs dimension >= 5, got {cfg.dimension}"

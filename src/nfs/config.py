@@ -3,11 +3,13 @@
 Unknown keys are errors so typos never pass silently. Every field has a
 default except the grid geometry, which should be stated explicitly in any
 real run (defaults target the standard five-dimensional desk scenario).
+One table, `KEYS`, drives both parsing and echoing, and numbers must be finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -94,9 +96,12 @@ class RunConfig:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -117,6 +122,62 @@ def _parse_pair(key: str, value: str) -> tuple[float, float]:
     return parts
 
 
+_show_float = "{:.17g}".format
+
+
+def _show_floats(values: tuple[float, ...]) -> str:
+    return ",".join(map(_show_float, values))
+
+
+# (parse, show) for each value type
+_INT = (_parse_int, str)
+_FLOAT = (_parse_float, _show_float)
+_TEXT = (lambda key, value: value, str)
+_FLOATS = (_parse_floats, _show_floats)
+_PAIR = (_parse_pair, _show_floats)
+_EPSILON = (
+    lambda key, value: None if value == "auto" else _parse_float(key, value),
+    lambda x: "auto" if x is None else _show_float(x),
+)
+
+
+# Every key in echo order: (key, attribute path in RunConfig, (parse, show), shown-when).
+# A key whose shown-when is None is always echoed.
+KEYS = (
+    ("grid.dimension", "dimension", _INT, None),
+    ("grid.n", "n", _INT, None),
+    ("grid.half_width", "half_width", _FLOAT, None),
+    ("run.epsilon", "epsilon", _EPSILON, None),
+    ("run.rho", "rho", _FLOAT, None),
+    ("run.tol_fp", "tol_fp", _FLOAT, None),
+    ("run.max_iter", "max_iter", _INT, None),
+    ("run.seed", "seed", _INT, None),
+    ("run.slack", "slack", _FLOAT, None),
+    ("run.output_dir", "output_dir", _TEXT, None),
+    ("run.mean_policy", "mean_policy", _TEXT, None),
+    ("run.trials", "trials", _INT, None),
+    ("sequence.count", "sequence_count", _INT, None),
+    ("kernel.type", "kernel.type", _TEXT, None),
+    ("kernel.sigma", "kernel.sigma", _FLOAT, lambda c: c.kernel.type == "gaussian"),
+    ("kernel.amplitude", "kernel.amplitude", _FLOAT, lambda c: c.kernel.type == "gaussian"),
+    ("kernel.file", "kernel.file", _TEXT, lambda c: c.kernel.type != "gaussian"),
+    ("source.type", "source.type", _TEXT, None),
+    ("source.centers", "source.centers", _PAIR, lambda c: c.source.type == "gaussian-diff"),
+    ("source.widths", "source.widths", _PAIR, lambda c: c.source.type == "gaussian-diff"),
+    ("source.amplitude", "source.amplitude", _FLOAT, lambda c: c.source.type == "gaussian-diff"),
+    ("source.file", "source.file", _TEXT, lambda c: c.source.type != "gaussian-diff"),
+    ("nonlinearity.coeffs", "coeffs", _FLOATS, None),
+    ("nonlinearity.coeffs2", "coeffs2", _FLOATS, lambda c: c.coeffs2 is not None),
+)
+_BY_KEY = {row[0]: row[1:3] for row in KEYS}
+
+
+def _owner(cfg: RunConfig, path: str) -> tuple[object, str]:
+    """The object holding the attribute at `path`, and the attribute's name."""
+    head, _, attr = path.rpartition(".")
+    return (getattr(cfg, head) if head else cfg), attr
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text; unknown keys are rejected."""
     cfg = RunConfig()
@@ -131,104 +192,22 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        _apply(cfg, key, value, lineno)
+        if key not in _BY_KEY:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        path, (parse, _) = _BY_KEY[key]
+        owner, attr = _owner(cfg, path)
+        setattr(owner, attr, parse(key, value))
+        if attr == "file":  # naming a field file selects it as the kernel or source
+            owner.type = "file"
     cfg.validate()
     return cfg
 
 
-def _apply(cfg: RunConfig, key: str, value: str, lineno: int) -> None:
-    match key:
-        case "grid.dimension":
-            cfg.dimension = _parse_int(key, value)
-        case "grid.n":
-            cfg.n = _parse_int(key, value)
-        case "grid.half_width":
-            cfg.half_width = _parse_float(key, value)
-        case "run.epsilon":
-            cfg.epsilon = None if value == "auto" else _parse_float(key, value)
-        case "run.rho":
-            cfg.rho = _parse_float(key, value)
-        case "run.tol_fp":
-            cfg.tol_fp = _parse_float(key, value)
-        case "run.max_iter":
-            cfg.max_iter = _parse_int(key, value)
-        case "run.seed":
-            cfg.seed = _parse_int(key, value)
-        case "run.slack":
-            cfg.slack = _parse_float(key, value)
-        case "run.output_dir":
-            cfg.output_dir = value
-        case "run.mean_policy":
-            cfg.mean_policy = value
-        case "run.trials":
-            cfg.trials = _parse_int(key, value)
-        case "sequence.count":
-            cfg.sequence_count = _parse_int(key, value)
-        case "kernel.type":
-            cfg.kernel.type = value
-        case "kernel.sigma":
-            cfg.kernel.sigma = _parse_float(key, value)
-        case "kernel.amplitude":
-            cfg.kernel.amplitude = _parse_float(key, value)
-        case "kernel.file":
-            cfg.kernel.file = value
-            cfg.kernel.type = "file"
-        case "source.type":
-            cfg.source.type = value
-        case "source.centers":
-            cfg.source.centers = _parse_pair(key, value)
-        case "source.widths":
-            cfg.source.widths = _parse_pair(key, value)
-        case "source.amplitude":
-            cfg.source.amplitude = _parse_float(key, value)
-        case "source.file":
-            cfg.source.file = value
-            cfg.source.type = "file"
-        case "nonlinearity.coeffs":
-            cfg.coeffs = _parse_floats(key, value)
-        case "nonlinearity.coeffs2":
-            cfg.coeffs2 = _parse_floats(key, value)
-        case _:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-
 def echo_config(cfg: RunConfig) -> str:
     """Render the fully resolved configuration for report auditability."""
-    lines = [
-        f"grid.dimension = {cfg.dimension}",
-        f"grid.n = {cfg.n}",
-        f"grid.half_width = {cfg.half_width:.17g}",
-        "run.epsilon = auto" if cfg.epsilon is None else f"run.epsilon = {cfg.epsilon:.17g}",
-        f"run.rho = {cfg.rho:.17g}",
-        f"run.tol_fp = {cfg.tol_fp:.17g}",
-        f"run.max_iter = {cfg.max_iter}",
-        f"run.seed = {cfg.seed}",
-        f"run.slack = {cfg.slack:.17g}",
-        f"run.output_dir = {cfg.output_dir}",
-        f"run.mean_policy = {cfg.mean_policy}",
-        f"run.trials = {cfg.trials}",
-        f"sequence.count = {cfg.sequence_count}",
-        f"kernel.type = {cfg.kernel.type}",
-    ]
-    if cfg.kernel.type == "gaussian":
-        lines += [
-            f"kernel.sigma = {cfg.kernel.sigma:.17g}",
-            f"kernel.amplitude = {cfg.kernel.amplitude:.17g}",
-        ]
-    else:
-        lines.append(f"kernel.file = {cfg.kernel.file}")
-    lines.append(f"source.type = {cfg.source.type}")
-    if cfg.source.type == "gaussian-diff":
-        lines += [
-            "source.centers = " + ",".join(f"{c:.17g}" for c in cfg.source.centers),
-            "source.widths = " + ",".join(f"{w:.17g}" for w in cfg.source.widths),
-            f"source.amplitude = {cfg.source.amplitude:.17g}",
-        ]
-    else:
-        lines.append(f"source.file = {cfg.source.file}")
-    lines.append("nonlinearity.coeffs = " + ",".join(f"{c:.17g}" for c in cfg.coeffs))
-    if cfg.coeffs2 is not None:
-        lines.append(
-            "nonlinearity.coeffs2 = " + ",".join(f"{c:.17g}" for c in cfg.coeffs2)
-        )
+    lines = []
+    for key, path, (_, show), shown in KEYS:
+        if shown is None or shown(cfg):
+            owner, attr = _owner(cfg, path)
+            lines.append(f"{key} = {show(getattr(owner, attr))}")
     return "\n".join(lines)

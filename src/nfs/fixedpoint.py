@@ -148,9 +148,7 @@ def _residual(
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
     out, _ = _image(ps, u0, v, spectral.norm_h4(v))
-    t = spectral.inverse_transform(SpectralField(ps.grid, out))
-    t.role = "iterate"
-    return t
+    return spectral.inverse_transform(SpectralField(ps.grid, out))
 
 
 def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> SolveReport:
@@ -163,14 +161,12 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     fh = spectral.forward_transform(ps.source)
     u0h = solve_linear_full(fh, LinearSolveOptions(mean_policy=ps.mean_policy)).u.coeffs
     u0 = spectral.inverse_transform(SpectralField(grid, u0h))
-    u0.role = "solution"
     r0 = fh.coeffs - ps.lattice.symbol * u0h  # f^ - (|p|^2 + |p|^4) u0^, in every residual
     del fh, u0h
     if v_start is None:
-        v, vh = zeros_like(grid, "iterate"), np.zeros(grid.half_shape, dtype=complex)
+        v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
     else:
-        v = v_start.copy("iterate")
-        vh = spectral.forward_transform(v).coeffs
+        v, vh = v_start, spectral.forward_transform(v_start).coeffs
     v_h4 = _h4(grid, vh)
     trace = IterationTrace()
     grow_streak = 0
@@ -193,7 +189,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
             break
     else:
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
-    u = RealField(grid, u0.values + v.values, role="solution")
+    u = RealField(grid, u0.values + v.values)
     conv = None  # like residual(), no interval or ball check on the last iterate
     if ps.epsilon != 0.0:
         conv = spectral.dft(RealField(grid, ps.g.g(u.values)))
@@ -201,7 +197,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     trace.residual.append(_residual(ps, r0, vh, conv))
     return SolveReport(
         u0=u0,
-        u_p=v.copy("solution"),
+        u_p=v,
         u=u,
         trace=trace,
         bounds=ps.bounds,
@@ -267,8 +263,7 @@ def sample_ball(
     grid: GridSpec, rho: float, rng: np.random.Generator
 ) -> RealField:
     """Draw a field with H4 norm uniform in (0, rho]; see sample_ball_spectrum."""
-    f = spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
-    return RealField(grid, f.values, role="iterate")
+    return spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
 
 
 def measure_contraction(

@@ -82,7 +82,6 @@ class RealField:
 
     spec: GridSpec
     values: np.ndarray
-    role: str = "generic"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -95,9 +94,6 @@ class RealField:
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
-
-    def copy(self, role: str | None = None) -> "RealField":
-        return RealField(self.spec, self.values.copy(), role or self.role)
 
 
 @dataclass
@@ -118,8 +114,8 @@ def check_same_grid(a, b):
         raise GridMismatch(f"grids differ: {a.spec} vs {b.spec}")
 
 
-def zeros_like(spec: GridSpec, role: str = "generic") -> RealField:
-    return RealField(spec, np.zeros(spec.size), role)
+def zeros_like(spec: GridSpec) -> RealField:
+    return RealField(spec, np.zeros(spec.size))
 
 
 def write_field(path: str, f: RealField) -> None:
@@ -133,7 +129,7 @@ def write_field(path: str, f: RealField) -> None:
     os.replace(tmp, path)
 
 
-def read_field(path: str, role: str = "generic") -> RealField:
+def read_field(path: str) -> RealField:
     """Read an NFS1 dump; a malformed file is a configuration error."""
     with open(path, "rb") as fh:
         header = fh.read(HEADER.size)
@@ -149,4 +145,4 @@ def read_field(path: str, role: str = "generic") -> RealField:
                 f"payload length {len(payload)} != expected {spec.size * 8} in {path}"
             )
         values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return RealField(spec, values, role)
+    return RealField(spec, values)

@@ -73,9 +73,7 @@ def solve_linear_full(
 def solve_linear(
     f: RealField, opts: LinearSolveOptions = LinearSolveOptions()
 ) -> RealField:
-    u = spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), opts).u)
-    u.role = "solution"
-    return u
+    return spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), opts).u)
 
 
 def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:
@@ -105,7 +103,7 @@ def sequence_experiment(
     u = solve_linear(f, opts)
     report = SequenceReport()
     for pert in perturbations:
-        fn = RealField(f.spec, f.values + pert.values, role="source")
+        fn = RealField(f.spec, f.values + pert.values)
         un = solve_linear(fn, opts)
         diff_f = RealField(f.spec, fn.values - f.values)
         diff_u = RealField(f.spec, un.values - u.values)

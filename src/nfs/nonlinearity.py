@@ -9,11 +9,11 @@ supplied first and second derivatives are supported through dense sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import IntervalExceeded, NonconformingG
 from .grid import RealField, check_same_grid
 
@@ -47,8 +47,28 @@ class C2Report:
     big_m: float
 
 
+def _horner(asc: np.ndarray, z) -> np.ndarray:
+    """Evaluate the polynomial with ascending coefficients `asc` at z, in place."""
+    out = np.full(np.shape(z), asc[-1])
+    for c in asc[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
+def _coeff_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = np.zeros(max(a.size, b.size))
+    diff[: a.size] += a
+    diff[: b.size] -= b
+    return diff
+
+
 class Nonlinearity:
-    """g with evaluators for g, g', g''; vanishing value and slope at 0."""
+    """g with evaluators g, g1 = g', g2 = g''; vanishing value and slope at 0.
+
+    A polynomial keeps its coefficients (`coeffs` of z^2, z^3, ...); a
+    callable g has `coeffs = None`.
+    """
 
     def __init__(
         self,
@@ -57,56 +77,24 @@ class Nonlinearity:
     ):
         if (coeffs is None) == (funcs is None):
             raise ValueError("provide exactly one of coeffs or funcs")
-        if coeffs is not None:
-            a = np.asarray(coeffs, dtype=np.float64)
-            if a.size == 0 or not np.any(a):
+        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=np.float64)
+        if self.coeffs is not None:
+            if self.coeffs.size == 0 or not np.any(self.coeffs):
                 raise NonconformingG("polynomial must not be identically zero")
-            # full ascending coefficient array, degrees 0..J
-            full = np.concatenate([[0.0, 0.0], a])
-            self.kind = "polynomial"
-            self.coeffs = a
-            self._asc = full
-            self._asc1 = np.polynomial.polynomial.polyder(full)
-            self._asc2 = np.polynomial.polynomial.polyder(full, 2)
-            self._funcs = None
-        else:
-            g, g1, g2 = funcs
-            for name, val in (("g(0)", g(0.0)), ("g'(0)", g1(0.0))):
-                if abs(val) > ORIGIN_TOL:
-                    raise NonconformingG(f"{name} = {val} violates the origin condition")
-            self.kind = "callable"
-            self.coeffs = None
-            self._funcs = (g, g1, g2)
-
-    def _eval_poly(self, asc: np.ndarray, z):
-        return _kernels.poly_eval(asc[::-1], z)
-
-    def g(self, z):
-        if self.kind == "polynomial":
-            return self._eval_poly(self._asc, z)
-        return self._funcs[0](z)
-
-    def g1(self, z):
-        if self.kind == "polynomial":
-            return self._eval_poly(self._asc1, z)
-        return self._funcs[1](z)
-
-    def g2(self, z):
-        if self.kind == "polynomial":
-            return self._eval_poly(self._asc2, z)
-        return self._funcs[2](z)
+            # full ascending coefficient arrays of g, g', g'', degrees 0..J
+            self._asc = np.concatenate([[0.0, 0.0], self.coeffs])
+            self._asc1 = np.polynomial.polynomial.polyder(self._asc)
+            self._asc2 = np.polynomial.polynomial.polyder(self._asc, 2)
+            funcs = tuple(partial(_horner, asc) for asc in (self._asc, self._asc1, self._asc2))
+        self.g, self.g1, self.g2 = funcs
+        for name, val in (("g(0)", self.g(0.0)), ("g'(0)", self.g1(0.0))):
+            if abs(val) > ORIGIN_TOL:
+                raise NonconformingG(f"{name} = {val} violates the origin condition")
 
     def minus(self, other: "Nonlinearity") -> "Nonlinearity":
-        """Difference g - other; exact for two polynomials."""
-        if self.kind == "polynomial" and other.kind == "polynomial":
-            a, b = self.coeffs, other.coeffs
-            m = max(a.size, b.size)
-            diff = np.zeros(m)
-            diff[: a.size] += a
-            diff[: b.size] -= b
-            if not np.any(diff):
-                return _ZERO
-            return Nonlinearity(coeffs=diff)
+        """Difference g - other; exact for two distinct polynomials."""
+        if self.coeffs is not None and other.coeffs is not None:
+            return Nonlinearity(coeffs=_coeff_diff(self.coeffs, other.coeffs))
         return Nonlinearity(
             funcs=(
                 lambda z: np.asarray(self.g(z)) - np.asarray(other.g(z)),
@@ -114,24 +102,6 @@ class Nonlinearity:
                 lambda z: np.asarray(self.g2(z)) - np.asarray(other.g2(z)),
             )
         )
-
-
-class _ZeroNonlinearity(Nonlinearity):
-    """Identically zero difference; only produced by minus()."""
-
-    def __init__(self):
-        self.kind = "zero"
-        self.coeffs = np.zeros(1)
-        self._funcs = None
-
-    def g(self, z):
-        return np.zeros_like(np.asarray(z, dtype=np.float64))
-
-    g1 = g
-    g2 = g
-
-
-_ZERO = _ZeroNonlinearity()
 
 
 def build_interval(u0_h4: float, c_e: float) -> IntervalI:
@@ -168,15 +138,11 @@ def c2_norm(
     Exact for polynomials; callables are sampled densely (at least 1001 odd
     points, default density 10^4 per unit length).
     """
-    if g.kind == "polynomial":
-        if abs(g.g(0.0)) > ORIGIN_TOL or abs(g.g1(0.0)) > ORIGIN_TOL:
-            raise NonconformingG("polynomial has nonzero value or slope at 0")
+    if g.coeffs is not None:
         asc3 = np.polynomial.polynomial.polyder(g._asc2)
         sup_g = _poly_sup(g._asc, g._asc1, interval)
         sup_g1 = _poly_sup(g._asc1, g._asc2, interval)
         sup_g2 = _poly_sup(g._asc2, asc3, interval)
-    elif g.kind == "zero":
-        sup_g = sup_g1 = sup_g2 = 0.0
     else:
         if samples <= 0:
             samples = max(1001, int(MIN_SAMPLES_PER_UNIT * interval.width) | 1)
@@ -218,21 +184,14 @@ def compose(
                 f"pointwise range [{lo}, {hi}] exceeds certified interval "
                 f"[{interval.lower}, {interval.upper}]"
             )
-    return RealField(u0.spec, np.asarray(g.g(z)), role="composition")
+    return RealField(u0.spec, np.asarray(g.g(z)))
 
 
 def c2_distance(
     g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI, samples: int = 0
 ) -> float:
-    """C2 norm of g1 - g2 over the interval."""
-    diff = g1.minus(g2)
-    if diff.kind == "zero":
-        return 0.0
-    if diff.kind == "polynomial":
-        asc3 = np.polynomial.polynomial.polyder(diff._asc2)
-        return (
-            _poly_sup(diff._asc, diff._asc1, interval)
-            + _poly_sup(diff._asc1, diff._asc2, interval)
-            + _poly_sup(diff._asc2, asc3, interval)
-        )
-    return c2_norm(diff, interval, samples=samples).c2_norm
+    """C2 norm of g1 - g2 over the interval; 0 for equal polynomials."""
+    if g1.coeffs is not None and g2.coeffs is not None:
+        if not np.any(_coeff_diff(g1.coeffs, g2.coeffs)):
+            return 0.0
+    return c2_norm(g1.minus(g2), interval, samples=samples).c2_norm

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
 from .fixedpoint import ProblemSpec

@@ -1,18 +1,62 @@
-"""Config parsing, field builders, kernel dispatch parity, and the CLI
+"""Config parsing, field builders, polynomial evaluation, and the CLI
 commands end to end."""
 
+import dataclasses
 import os
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nfs import _kernels, builders, cli
-from nfs.config import parse_config
+from nfs import builders, cli
+from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
 from nfs.grid import GridSpec, read_field, write_field
 from nfs.linear import SequenceReport
+from nfs.nonlinearity import Nonlinearity
 from nfs.spectral import norm_l1
+
+
+def _numbers(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _listed(values):
+    return ", ".join(map(repr, values))
+
+
+_POSITIVE = _numbers(min_value=0.0, exclude_min=True).map(repr)
+_PATH = st.text("abcxyz019/._-", min_size=1, max_size=12).filter(lambda t: t.strip() == t)
+# valid values, as config text, for every key of the table
+VALUES = {
+    "grid.dimension": st.integers(1, 7).map(str),
+    "grid.n": st.sampled_from(["4", "8", "16", "1024"]),
+    "grid.half_width": _POSITIVE,
+    "run.epsilon": st.one_of(st.just("auto"), _numbers(min_value=0.0).map(repr)),
+    "run.rho": _numbers(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
+    "run.tol_fp": _POSITIVE,
+    "run.max_iter": st.integers(1, 10**6).map(str),
+    "run.seed": st.integers(0, 2**64).map(str),
+    "run.slack": _numbers(min_value=0.0).map(repr),
+    "run.output_dir": _PATH,
+    "run.mean_policy": st.sampled_from(["reject", "project"]),
+    "run.trials": st.integers(1, 10**4).map(str),
+    "sequence.count": st.integers(1, 10**4).map(str),
+    "kernel.type": st.just("gaussian"),  # a file kernel is selected by naming kernel.file
+    "kernel.sigma": _POSITIVE,
+    "kernel.amplitude": _numbers().map(repr),
+    "kernel.file": _PATH,
+    "source.type": st.just("gaussian-diff"),
+    "source.centers": st.tuples(_numbers(), _numbers()).map(_listed),
+    "source.widths": st.tuples(*[_numbers(min_value=0.0, exclude_min=True)] * 2).map(_listed),
+    "source.amplitude": _numbers().map(repr),
+    "source.file": _PATH,
+    "nonlinearity.coeffs": st.lists(_numbers(), min_size=1, max_size=5).filter(any).map(_listed),
+    "nonlinearity.coeffs2": st.lists(_numbers(), min_size=1, max_size=5).map(_listed),
+}
 
 
 class TestParseConfig:
@@ -54,11 +98,44 @@ class TestParseConfig:
         assert cfg.coeffs == (1.0, 0.5, 0.25)
 
     def test_echo_round_trip(self):
-        from nfs.config import echo_config
-
         cfg = parse_config("run.rho = 0.75\nnonlinearity.coeffs2 = 1.0,0.1")
         again = parse_config(echo_config(cfg))
         assert again == cfg
+
+    def test_key_table_covers_every_field_once(self):
+        want = []
+        for f in dataclasses.fields(RunConfig):
+            sub = {"kernel": KernelConfig, "source": SourceConfig}.get(f.name)
+            want += [f"{f.name}.{g.name}" for g in dataclasses.fields(sub)] if sub else [f.name]
+        assert sorted(path for _, path, _, _ in KEYS) == sorted(want)
+        assert sorted(key for key, _, _, _ in KEYS) == sorted(VALUES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_echo_is_a_fixed_point(self, data):
+        """Echo omits unused branches (kernel.sigma of a file kernel), so compare echoes
+        and the values of the keys echoed."""
+        keys = data.draw(st.lists(st.sampled_from(sorted(VALUES)), unique=True))
+        cfg = parse_config("\n".join(f"{k} = {data.draw(VALUES[k], label=k)}" for k in keys))
+        echoed = echo_config(cfg)
+        again = parse_config(echoed)
+        assert echo_config(again) == echoed
+        for key, path, _, shown in KEYS:
+            if shown is None or shown(cfg):
+                assert attrgetter(path)(again) == attrgetter(path)(cfg), key
+
+    def test_echo_shows_the_selected_branch_only(self):
+        def echoed(text):
+            return {line.split(" = ")[0] for line in echo_config(parse_config(text)).splitlines()}
+
+        every = {key for key, _, _, _ in KEYS}
+        gaussian = {"kernel.sigma", "kernel.amplitude", "source.centers", "source.widths", "source.amplitude"}
+        assert echoed("") == every - {"kernel.file", "source.file", "nonlinearity.coeffs2"}
+        assert echoed("kernel.file = k\nsource.file = f\nnonlinearity.coeffs2 = 1") == every - gaussian
+
+    def test_naming_a_file_selects_it(self):
+        cfg = parse_config("kernel.file = k.nfs1\nsource.file = f.nfs1")
+        assert (cfg.kernel.type, cfg.source.type) == ("file", "file")
 
 
 class TestBuilders:
@@ -86,6 +163,18 @@ class TestBuilders:
         # renormalization cancels the discrete mass to rounding
         assert abs(np.sum(f.values)) <= 1e-13 * np.sum(np.abs(f.values))
 
+    def test_gaussian_hump_matches_pointwise_loop(self):
+        """The broadcast hump rounds exactly as a per-point sum over axes in forward order."""
+        gs, center, width = GridSpec(3, 8, 2.0), np.array([0.3, -0.7, 1.1]), 0.8
+        period, sq = 2.0 * gs.half_width, np.zeros(gs.size)
+        for flat, idx in enumerate(np.ndindex(gs.shape)):
+            for axis, j in enumerate(idx):
+                w = gs.axis_coords()[j] - center[axis]
+                w -= period * np.floor((w + gs.half_width) / period)
+                sq[flat] += w * w
+        want = np.exp(-sq / (2.0 * width**2))
+        assert np.array_equal(builders._gaussian_hump(gs, center, width), want)
+
     def test_small_box_leaks_mass(self):
         gs = GridSpec(2, 16, 1.5)
         with pytest.raises(MassLeakage):
@@ -93,32 +182,17 @@ class TestBuilders:
 
 
 class TestKernelDispatchParity:
-    """The jit kernels and the plain-numpy fallbacks must agree exactly."""
-
-    def test_poly_eval(self):
-        coeffs = np.array([0.3, -1.2, 0.0, 2.0, 0.5])
-        x = np.linspace(-3, 3, 101)
-        jit, ref = np.empty_like(x), np.empty_like(x)
-        _kernels._poly_eval_jit(coeffs, x, jit)
-        _kernels._poly_eval_np(coeffs, x, ref)
-        np.testing.assert_array_equal(jit, ref)
-
-    def test_wrapped_sq_dist(self):
-        center = np.array([0.3, -0.7, 1.1])
-        args = (3, 8, 0.5, 2.0, center)
-        jit, ref = np.empty(8**3), np.empty(8**3)
-        _kernels._wrapped_sq_dist_jit(*args, jit)
-        _kernels._wrapped_sq_dist_np(*args, ref)
-        np.testing.assert_array_equal(jit, ref)
+    """Polynomial g, g', g'' are one in-place Horner loop; it rounds exactly as polyval."""
 
     @pytest.mark.parametrize(
-        "asc", [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -1.3, 0.25], [1.5, -2.0, 0.0, 3.0e-3, 7.0, -0.125]]
+        "asc", [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -1.3, 0.25], [0.0, 0.0, 0.0, 3.0e-3, 7.0, -0.125]]
     )
     def test_poly_eval_is_polyval(self, asc):
-        """The in-place Horner loop rounds exactly as numpy's polyval."""
         x = np.random.default_rng(len(asc)).uniform(-3.0, 3.0, 1001)
-        got = _kernels.poly_eval(np.asarray(asc)[::-1], x)
-        assert np.array_equal(got, np.polynomial.polynomial.polyval(x, asc))
+        g = Nonlinearity(coeffs=asc[2:])
+        polyval = np.polynomial.polynomial.polyval
+        for got, want in ((g.g, g._asc), (g.g1, g._asc1), (g.g2, g._asc2)):
+            assert np.array_equal(got(x), polyval(x, want))
 
 
 @pytest.fixture()
@@ -278,6 +352,25 @@ class TestCli:
         assert self._solve_with_kernel_file(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert "n=4" in err and "n=8" in err and err.count("\n") == 1
+
+    def _one_config_error(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("key", ["run.slack", "run.epsilon", "kernel.amplitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, key, value, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        args = ["contraction", "--config", str(p), "--out", str(tmp_path / "out")]
+        assert key in self._one_config_error(args, capsys)
+
+    def test_seed_override_validated(self, cfg_path, tmp_path, capsys):
+        args = ["contraction", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-3"]
+        assert "seed must be nonnegative" in self._one_config_error(args, capsys)
 
 
 class TestVerdictFailures:

@@ -123,7 +123,7 @@ class TestSolveFixedPoint:
 class TestResidual:
     def test_zero_field_residual_is_source_norm(self):
         ps = small_problem(0.0)
-        u = zeros_like(ps.grid, role="solution")
+        u = zeros_like(ps.grid)
         # the source is mean-free, so projecting the zero mode changes nothing
         assert residual(u, ps) == pytest.approx(norm_l2(ps.source), rel=1e-10)
 

@@ -137,6 +137,11 @@ class TestC2Distance:
         g = Nonlinearity(coeffs=[1.0, 0.5])
         assert c2_distance(g, g, UNIT) == 0.0
 
+    def test_equal_up_to_zero_padding(self):
+        g1 = Nonlinearity(coeffs=[1.0, 0.5])
+        g2 = Nonlinearity(coeffs=[1.0, 0.5, 0.0])
+        assert c2_distance(g1, g2, UNIT) == 0.0
+
     def test_pure_cubic_difference(self):
         g1 = Nonlinearity(coeffs=[1.0])
         g2 = Nonlinearity(coeffs=[1.0, 0.1])
