@@ -27,7 +27,7 @@ from .fixedpoint import (
     solve_fixed_point,
 )
 from .grid import GridSpec, RealField, SpectralField, read_field, write_field
-from .linear import LinearSolveOptions, sequence_experiment, solve_linear
+from .linear import sequence_experiment, solve_linear
 from .nonlinearity import (
     IntervalI,
     Nonlinearity,

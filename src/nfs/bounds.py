@@ -16,6 +16,8 @@ from scipy.special import gamma
 
 from .errors import BadDimension, ContractionViolated, NonPositiveInput
 
+QUAD_POINTS = 400  # Gauss-Legendre nodes of the radial integral
+
 
 @dataclass(frozen=True)
 class PhiResult:
@@ -59,15 +61,15 @@ def minimize_phi(alpha: float, d: int) -> PhiResult:
     return PhiResult(alpha=alpha, d=d, r_star=r_star, phi_min=phi_min)
 
 
-def radial_embedding_integral(d: int, quad_points: int = 400) -> float:
-    """integral_0^inf r^(d-1) (1 + r^4)^(-2) dr by Gauss-Legendre quadrature.
+def radial_embedding_integral(d: int) -> float:
+    """integral_0^inf r^(d-1) (1 + r^4)^(-2) dr by QUAD_POINTS-node Gauss-Legendre quadrature.
 
     Mapped to (0, 1) via r = t/(1-t); converges for d < 8. Closed form for
     cross-checks: (1/4) B(d/4, 2 - d/4).
     """
     if not (1 <= d <= 7):
         raise BadDimension(f"radial integral restricted to 1 <= d <= 7, got {d}")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     r = t / (1.0 - t)
@@ -76,7 +78,7 @@ def radial_embedding_integral(d: int, quad_points: int = 400) -> float:
     return float(np.sum(w * integrand))
 
 
-def embedding_constant(d: int, quad_points: int = 400) -> float:
+def embedding_constant(d: int) -> float:
     """Admissible constant c_e with ||u||_inf <= c_e ||u||_H4.
 
     c_e = sqrt(2) (2 pi)^(-d/2) (|S^d| I_d)^(1/2) with the radial integral
@@ -84,7 +86,7 @@ def embedding_constant(d: int, quad_points: int = 400) -> float:
     """
     if not (5 <= d <= 7):
         raise BadDimension(f"embedding constant defined for 5 <= d <= 7, got {d}")
-    integral = radial_embedding_integral(d, quad_points)
+    integral = radial_embedding_integral(d)
     return float(
         np.sqrt(2.0)
         * (2.0 * np.pi) ** (-d / 2.0)
@@ -149,9 +151,9 @@ def make_snapshot(
     u0_h4: float,
     k_l1: float,
     k_l2: float,
-    quad_points: int = 400,
+    c_e: float,
 ) -> BoundsSnapshot:
-    """Assemble the full snapshot from the raw problem constants."""
+    """Assemble the full snapshot; c_e is embedding_constant(d), evaluated once by the caller."""
     return BoundsSnapshot(
         d=d,
         rho=rho,
@@ -160,7 +162,7 @@ def make_snapshot(
         k_l1=k_l1,
         k_l2=k_l2,
         sphere_measure=sphere_measure(d),
-        embedding_constant=embedding_constant(d, quad_points),
+        embedding_constant=c_e,
         epsilon_max=epsilon_max(rho, big_m, u0_h4, k_l1, k_l2, d),
         sigma=sigma(big_m, u0_h4, k_l1, k_l2, d),
     )

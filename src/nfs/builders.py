@@ -27,13 +27,14 @@ def _gaussian_hump(grid: GridSpec, center: np.ndarray, width: float) -> np.ndarr
     return np.exp(-sq / (2.0 * width**2)).reshape(-1)
 
 
-def _check_gates(f: RealField, what: str) -> None:
+def check_gates(f: RealField, what: str) -> None:
+    """Refuse a kernel or source that is identically zero or leaks mass to the outer shell."""
     if not np.any(f.values):
         raise TrivialField(f"{what} is identically zero")
     frac = spectral.outer_shell_mass_fraction(f)
     if frac >= SHELL_MASS_LIMIT:
         raise MassLeakage(
-            f"{what} carries {frac:.3e} of its L1 mass in the outer 10% shell "
+            f"{what} carries {frac:.3e} of its L1 mass in the outer {spectral.SHELL:.0%} shell "
             f"(limit {SHELL_MASS_LIMIT:.0e}); enlarge the box"
         )
 
@@ -47,7 +48,7 @@ def build_gaussian_kernel(
     center = np.zeros(grid.d)
     values = amplitude * _gaussian_hump(grid, center, sigma)
     f = RealField(grid, values)
-    _check_gates(f, "kernel")
+    check_gates(f, "kernel")
     return f
 
 
@@ -75,7 +76,7 @@ def build_gaussian_diff_source(
         raise TrivialField("second source hump vanished on the grid")
     values = amplitude * (h1 - (m1 / m2) * h2)
     f = RealField(grid, values)
-    _check_gates(f, "source")
+    check_gates(f, "source")
     return f
 
 

@@ -16,23 +16,14 @@ import sys
 import numpy as np
 
 from . import builders, spectral
+from .bounds import minimize_phi, sphere_measure
 from .config import RunConfig, echo_config, parse_config
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import GridSpec, RealField, read_field, write_field
-from .linear import SEQUENCE_SLACK, LinearSolveOptions, sequence_experiment, solve_linear
-from .nonlinearity import Nonlinearity
+from .linear import SEQUENCE_SLACK, sequence_experiment, solve_linear
+from .nonlinearity import IntervalI, Nonlinearity, c2_norm
 from .pipeline import assemble_problem
-
-COMMANDS = (
-    "bounds",
-    "solve-linear",
-    "solve",
-    "contraction",
-    "continuity",
-    "sequences",
-    "selfcheck",
-)
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 
@@ -72,6 +63,7 @@ def _read_on_grid(path: str, gs: GridSpec, what: str) -> RealField:
     f = read_field(path)
     if f.spec != gs:
         raise ConfigError(f"{what} file {path} has grid {f.spec}, config has {gs}")
+    builders.check_gates(f, what)
     return f
 
 
@@ -103,13 +95,18 @@ def _assemble(cfg: RunConfig, g2: Nonlinearity | None = None):
         rho=cfg.rho,
         tol_fp=cfg.tol_fp,
         max_iter=cfg.max_iter,
-        mean_policy=cfg.mean_policy,
+        project_mean=cfg.project_mean,
         g_other=g2,
     )
 
 
-def _report_header(cfg: RunConfig) -> str:
-    return "# resolved configuration\n" + echo_config(cfg) + "\n\n"
+def _report(out: str, name: str, cfg: RunConfig, lines: list[str]) -> None:
+    """Write the echoed configuration and `lines` to out/name atomically; print the lines."""
+    text = "\n".join(lines)
+    _write_text(
+        os.path.join(out, name), f"# resolved configuration\n{echo_config(cfg)}\n\n{text}\n"
+    )
+    print(text)
 
 
 def cmd_bounds(cfg: RunConfig, out: str) -> int:
@@ -117,24 +114,17 @@ def cmd_bounds(cfg: RunConfig, out: str) -> int:
     lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
     lines.append(f"interval.upper = {_fmt(ap.interval.upper)}")
     lines.append(f"epsilon_resolved = {_fmt(ap.ps.epsilon)}")
-    _write_text(
-        os.path.join(out, "bounds.txt"), _report_header(cfg) + "\n".join(lines) + "\n"
-    )
-    print("\n".join(lines))
+    _report(out, "bounds.txt", cfg, lines)
     return 0
 
 
 def cmd_solve_linear(cfg: RunConfig, out: str) -> int:
     gs = _build_grid(cfg)
     source = _build_source(cfg, gs)
-    u0 = solve_linear(source, LinearSolveOptions(mean_policy=cfg.mean_policy))
+    u0 = solve_linear(source, cfg.project_mean)
     write_field(os.path.join(out, "u0.nfs1"), u0)
     norms = builders.field_norms(u0)
-    text = _report_header(cfg) + "".join(
-        f"u0.{k} = {_fmt(v)}\n" for k, v in norms.items()
-    )
-    _write_text(os.path.join(out, "solve_linear.txt"), text)
-    print(text, end="")
+    _report(out, "solve_linear.txt", cfg, [f"u0.{k} = {_fmt(v)}" for k, v in norms.items()])
     return 0
 
 
@@ -155,10 +145,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
         f"u_h4 = {_fmt(spectral.norm_h4(report.u))}",
         f"final_residual = {_fmt(tr.residual[-1])}",
     ]
-    _write_text(
-        os.path.join(out, "solve.txt"), _report_header(cfg) + "\n".join(lines) + "\n"
-    )
-    print("\n".join(lines))
+    _report(out, "solve.txt", cfg, lines)
     return 0
 
 
@@ -174,11 +161,7 @@ def cmd_contraction(cfg: RunConfig, out: str) -> int:
         f"eps_sigma_bound = {_fmt(bound)}",
         f"certified = {ap.ps.certified}",
     ]
-    _write_text(
-        os.path.join(out, "contraction.txt"),
-        _report_header(cfg) + "\n".join(lines) + "\n",
-    )
-    print("\n".join(lines))
+    _report(out, "contraction.txt", cfg, lines)
     if ap.ps.certified and stats.max_ratio > bound * (1.0 + cfg.slack):
         lhs = "contraction bound violated: max_ratio"
         return _violated(lhs, stats.max_ratio, "eps*sigma", bound, cfg.slack)
@@ -197,11 +180,7 @@ def cmd_continuity(cfg: RunConfig, out: str) -> int:
         f"g_distance_c2 = {_fmt(rep.g_distance)}",
         f"verdict = {rep.verdict}",
     ]
-    _write_text(
-        os.path.join(out, "continuity.txt"),
-        _report_header(cfg) + "\n".join(lines) + "\n",
-    )
-    print("\n".join(lines))
+    _report(out, "continuity.txt", cfg, lines)
     if rep.verdict:
         return 0
     lhs = "continuity bound violated: measured_h4"
@@ -221,9 +200,7 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
     perts = [
         RealField(gs, h.values / k) for k in range(1, cfg.sequence_count + 1)
     ]
-    rep = sequence_experiment(
-        source, perts, LinearSolveOptions(mean_policy=cfg.mean_policy)
-    )
+    rep = sequence_experiment(source, perts, cfg.project_mean)
     rows = [
         [k + 1, rep.df_l1[k], rep.df_l2[k], rep.du_h4[k], rep.majorant[k], rep.ok[k]]
         for k in range(len(rep.ok))
@@ -256,8 +233,6 @@ def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
         ("grid-spectral: round trip", np.max(np.abs(rt.values - 1.0)) < 1e-12)
     )
 
-    from .bounds import minimize_phi, sphere_measure
-
     pr = minimize_phi(4.0, 5)
     checks.append(
         ("bounds: radial minimizer plug-in", abs(pr.r_star - 1) < 1e-14 and abs(pr.phi_min - 5) < 1e-13)
@@ -266,9 +241,7 @@ def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
         ("bounds: sphere measure d=2", abs(sphere_measure(2) - 2 * np.pi) < 1e-14)
     )
 
-    from .nonlinearity import IntervalI, c2_norm as _c2
-
-    rep = _c2(Nonlinearity(coeffs=[1.0]), IntervalI(-1.0, 1.0))
+    rep = c2_norm(Nonlinearity(coeffs=[1.0]), IntervalI(-1.0, 1.0))
     checks.append(("nonlinearity: z^2 C2 norm", abs(rep.c2_norm - 5.0) < 1e-14))
 
     gs5 = GridSpec(5, 8, np.pi)
@@ -298,10 +271,8 @@ def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
         )
     )
 
-    from .config import parse_config as _pc
-
     try:
-        _pc("run.rho = 1.5")
+        parse_config("run.rho = 1.5")
         checks.append(("cli-harness: rho gate", False))
     except ConfigError:
         checks.append(("cli-harness: rho gate", True))
@@ -332,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="nfs",
         description="Pseudo-spectral non-Fredholm integro-differential solver",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", required=False, help="path to config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override run.seed")
@@ -364,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except IterationError as exc:
         print(f"iteration failed: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable config or field file, unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NFSError as exc:

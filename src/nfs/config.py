@@ -84,6 +84,9 @@ class RunConfig:
             raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}")
         if self.source.type not in SOURCE_TYPES:
             raise ConfigError(f"source.type must be one of {SOURCE_TYPES}")
+        for name, part in (("kernel", self.kernel), ("source", self.source)):
+            if part.type == "file" and not part.file:
+                raise ConfigError(f"{name}.type = file needs {name}.file")
         if self.kernel.type == "gaussian" and not (self.kernel.sigma > 0):
             raise ConfigError(f"kernel.sigma must be positive, got {self.kernel.sigma}")
         if self.source.type == "gaussian-diff":
@@ -92,6 +95,11 @@ class RunConfig:
                     raise ConfigError(f"source widths must be positive, got {w}")
         if not self.coeffs or not any(self.coeffs):
             raise ConfigError("nonlinearity.coeffs must not be identically zero")
+
+    @property
+    def project_mean(self) -> bool:
+        """Whether the linear solves drop the source's zero mode instead of refusing it."""
+        return self.mean_policy == "project"
 
 
 def _parse_float(key: str, value: str) -> float:

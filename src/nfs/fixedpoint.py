@@ -27,7 +27,7 @@ from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
 from .errors import DegeneratePair, Diverged, NotConverged, OutsideBall
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
-from .linear import LinearSolveOptions, solve_linear, solve_linear_full
+from .linear import solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
 
 BALL_SLACK = 1e-12
@@ -48,7 +48,7 @@ class ProblemSpec:
     interval: Optional[IntervalI] = None
     tol_fp: float = 1e-10
     max_iter: int = 200
-    mean_policy: str = "reject"
+    project_mean: bool = False
     lattice: spectral.HalfLattice = field(init=False, repr=False, compare=False)
     # eps (2 pi)^(d/2) K^ times phase and scale: times dft(G), the spectrum of eps K conv G
     multiplier: np.ndarray = field(init=False, repr=False, compare=False)
@@ -118,6 +118,18 @@ def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
         raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
 
 
+def _solve_conv(ps: ProblemSpec, conv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of the mean-projected linear solve of eps K conv G, and of eps K conv G.
+
+    `conv` is dft(G), scaled in place. Callers pass it rather than G, so that G is
+    freed before the solve allocates (one real field less at the peak).
+    """
+    conv *= ps.multiplier
+    if not np.any(conv):
+        return np.zeros_like(conv), conv
+    return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs, conv
+
+
 def _image(
     ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -125,12 +137,7 @@ def _image(
     _check_ball(ps, v_h4)
     if ps.epsilon == 0.0:
         return np.zeros(ps.grid.half_shape, dtype=complex), None
-    conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
-    conv *= ps.multiplier
-    if not np.any(conv):
-        return np.zeros_like(conv), conv
-    sol = solve_linear_full(SpectralField(ps.grid, conv), LinearSolveOptions(mean_policy="project"))
-    return sol.u.coeffs, conv
+    return _solve_conv(ps, spectral.dft(compose(ps.g, u0, v, ps.interval)))
 
 
 def _residual(
@@ -159,7 +166,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     """
     grid = ps.grid
     fh = spectral.forward_transform(ps.source)
-    u0h = solve_linear_full(fh, LinearSolveOptions(mean_policy=ps.mean_policy)).u.coeffs
+    u0h = solve_linear_full(fh, ps.project_mean).coeffs
     u0 = spectral.inverse_transform(SpectralField(grid, u0h))
     r0 = fh.coeffs - ps.lattice.symbol * u0h  # f^ - (|p|^2 + |p|^4) u0^, in every residual
     del fh, u0h
@@ -267,14 +274,12 @@ def sample_ball(
 
 
 def measure_contraction(
-    ps: ProblemSpec, trials: int, seed: int, u0: Optional[RealField] = None
+    ps: ProblemSpec, trials: int, seed: int, u0: RealField
 ) -> ContractionStats:
     """Sample iterate pairs in the ball and measure the Lipschitz ratio.
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
     """
-    if u0 is None:
-        u0 = solve_linear(ps.source, LinearSolveOptions(mean_policy=ps.mean_policy))
     grid, rng = ps.grid, np.random.default_rng(seed)
     ratios: list[float] = []
     distances: list[float] = []
@@ -289,10 +294,7 @@ def measure_contraction(
         if ps.epsilon != 0.0:
             v1, v2 = (spectral.inverse_transform(SpectralField(grid, vh)) for vh in (v1h, v2h))
             g1, g2 = (compose(ps.g, u0, v, ps.interval) for v in (v1, v2))
-            diff = spectral.dft(RealField(grid, g1.values - g2.values))
-            diff *= ps.multiplier
-            diff /= ps.lattice.symbol
-            diff[(0,) * grid.d] = 0.0
+            diff = _solve_conv(ps, spectral.dft(RealField(grid, g1.values - g2.values)))[0]
             ratio = _h4(grid, diff) / dist
         ratios.append(ratio)
         distances.append(dist)

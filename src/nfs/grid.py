@@ -122,9 +122,7 @@ def write_field(path: str, f: RealField) -> None:
     """Dump a field in the NFS1 format (atomic: temp file + rename)."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", f.spec.d, f.spec.n))
-        fh.write(struct.pack("<d", f.spec.half_width))
+        fh.write(HEADER.pack(MAGIC, f.spec.d, f.spec.n, f.spec.half_width))
         fh.write(f.values.astype("<f8").tobytes())
     os.replace(tmp, path)
 

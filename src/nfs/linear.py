@@ -2,8 +2,8 @@
 
 The Fourier symbol |p|^2 + |p|^4 vanishes only at p = 0, so the solve divides
 mode by mode away from zero. On the discrete torus the zero mode is a genuine
-obstruction: under the default `reject` policy a source with too much mean
-mass is refused; under `project` the mean is subtracted and recorded.
+obstruction: by default a source with too much mean mass is refused; with
+`project=True` the mean is dropped.
 """
 
 from __future__ import annotations
@@ -18,22 +18,8 @@ from .errors import NonDecayingSource, TrivialSource
 from .grid import RealField, SpectralField
 
 
-@dataclass(frozen=True)
-class LinearSolveOptions:
-    zero_mode_tol: float = 1e-10
-    mean_policy: str = "reject"  # or "project"
-
-    def __post_init__(self):
-        if self.zero_mode_tol < 0:
-            raise ValueError("zero_mode_tol must be nonnegative")
-        if self.mean_policy not in ("reject", "project"):
-            raise ValueError(f"unknown mean_policy {self.mean_policy!r}")
-
-
-@dataclass
-class LinearSolution:
-    u: SpectralField  # half spectrum of the solution
-    mean_adjustment: float  # zero-mode coefficient removed from f (0 if none)
+ZERO_MODE_TOL = 1e-10
+SEQUENCE_SLACK = 0.01
 
 
 @dataclass
@@ -49,31 +35,29 @@ class SequenceReport:
         return all(self.ok)
 
 
-def solve_linear_full(
-    fh: SpectralField, opts: LinearSolveOptions = LinearSolveOptions()
-) -> LinearSolution:
-    """Divide the right-hand side's half spectrum by |p|^2 + |p|^4, zero mode dropped."""
+def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField:
+    """Divide the right-hand side's half spectrum by |p|^2 + |p|^4, zero mode dropped.
+
+    Unless `project`, a zero mode above ZERO_MODE_TOL * ||f||_L2 is refused.
+    """
     if not np.any(fh.coeffs):
         raise TrivialSource("right-hand side is identically zero")
     zero = (0,) * fh.spec.d
-    zero_mass = abs(fh.coeffs[zero])
-    if opts.mean_policy == "reject":
-        l2, tol = spectral.norm_l2_spectral(fh), opts.zero_mode_tol
+    if not project:
+        zero_mass = abs(fh.coeffs[zero])
+        l2, tol = spectral.norm_l2_spectral(fh), ZERO_MODE_TOL
         if zero_mass > tol * l2:
             raise NonDecayingSource(
                 f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
                 f"||f||_L2 = {tol * l2:.3e}; use mean_policy=project"
             )
-    mean_adjustment = float(fh.coeffs[zero].real)
     coeffs = fh.coeffs / spectral.half_lattice(fh.spec).symbol
     coeffs[zero] = 0.0
-    return LinearSolution(u=SpectralField(fh.spec, coeffs), mean_adjustment=mean_adjustment)
+    return SpectralField(fh.spec, coeffs)
 
 
-def solve_linear(
-    f: RealField, opts: LinearSolveOptions = LinearSolveOptions()
-) -> RealField:
-    return spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), opts).u)
+def solve_linear(f: RealField, project: bool = False) -> RealField:
+    return spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), project))
 
 
 def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:
@@ -89,22 +73,16 @@ def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:
     return float(np.sqrt(df_l2**2 + low_high**2))
 
 
-SEQUENCE_SLACK = 0.01
-
-
 def sequence_experiment(
-    f: RealField,
-    perturbations: list[RealField],
-    opts: LinearSolveOptions = LinearSolveOptions(),
-    slack: float = SEQUENCE_SLACK,
+    f: RealField, perturbations: list[RealField], project: bool = False
 ) -> SequenceReport:
     """Solve for f and each f + perturbation; check the majorant dominates."""
     d = f.spec.d
-    u = solve_linear(f, opts)
+    u = solve_linear(f, project)
     report = SequenceReport()
     for pert in perturbations:
         fn = RealField(f.spec, f.values + pert.values)
-        un = solve_linear(fn, opts)
+        un = solve_linear(fn, project)
         diff_f = RealField(f.spec, fn.values - f.values)
         diff_u = RealField(f.spec, un.values - u.values)
         df_l1 = spectral.norm_l1(diff_f)
@@ -115,5 +93,5 @@ def sequence_experiment(
         report.df_l2.append(df_l2)
         report.du_h4.append(du_h4)
         report.majorant.append(maj)
-        report.ok.append(du_h4 <= maj * (1.0 + slack))
+        report.ok.append(du_h4 <= maj * (1.0 + SEQUENCE_SLACK))
     return report

@@ -44,7 +44,6 @@ class C2Report:
     sup_g1: float
     sup_g2: float
     c2_norm: float
-    big_m: float
 
 
 def _horner(asc: np.ndarray, z) -> np.ndarray:
@@ -130,13 +129,11 @@ def _sampled_sup(fn, interval: IntervalI, samples: int) -> float:
     return float(np.max(np.abs(np.asarray(fn(z)))))
 
 
-def c2_norm(
-    g: Nonlinearity, interval: IntervalI, samples: int = 0, big_m: float | None = None
-) -> C2Report:
+def c2_norm(g: Nonlinearity, interval: IntervalI) -> C2Report:
     """Suprema of |g|, |g'|, |g''| over the interval and their sum.
 
-    Exact for polynomials; callables are sampled densely (at least 1001 odd
-    points, default density 10^4 per unit length).
+    Exact for polynomials; callables are sampled densely (an odd number of
+    points, at least 1001 and 10^4 per unit length).
     """
     if g.coeffs is not None:
         asc3 = np.polynomial.polynomial.polyder(g._asc2)
@@ -144,18 +141,12 @@ def c2_norm(
         sup_g1 = _poly_sup(g._asc1, g._asc2, interval)
         sup_g2 = _poly_sup(g._asc2, asc3, interval)
     else:
-        if samples <= 0:
-            samples = max(1001, int(MIN_SAMPLES_PER_UNIT * interval.width) | 1)
-        if samples < 1001 or samples % 2 == 0:
-            raise ValueError("samples must be odd and >= 1001")
+        samples = max(1001, int(MIN_SAMPLES_PER_UNIT * interval.width) | 1)
         sup_g = _sampled_sup(g.g, interval, samples)
         sup_g1 = _sampled_sup(g.g1, interval, samples)
         sup_g2 = _sampled_sup(g.g2, interval, samples)
     total = sup_g + sup_g1 + sup_g2
-    m = total if big_m is None else big_m
-    if m < total:
-        raise ValueError(f"big_m = {m} below the computed C2 norm {total}")
-    return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=total, big_m=m)
+    return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=total)
 
 
 def check_dm_membership(report: C2Report, big_m: float) -> bool:
@@ -187,11 +178,9 @@ def compose(
     return RealField(u0.spec, np.asarray(g.g(z)))
 
 
-def c2_distance(
-    g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI, samples: int = 0
-) -> float:
+def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:
     """C2 norm of g1 - g2 over the interval; 0 for equal polynomials."""
     if g1.coeffs is not None and g2.coeffs is not None:
         if not np.any(_coeff_diff(g1.coeffs, g2.coeffs)):
             return 0.0
-    return c2_norm(g1.minus(g2), interval, samples=samples).c2_norm
+    return c2_norm(g1.minus(g2), interval).c2_norm

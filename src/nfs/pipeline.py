@@ -14,7 +14,7 @@ from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
-from .linear import LinearSolveOptions, solve_linear
+from .linear import solve_linear
 from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_norm
 
 
@@ -35,8 +35,7 @@ def assemble_problem(
     rho: float = 1.0,
     tol_fp: float = 1e-10,
     max_iter: int = 200,
-    mean_policy: str = "reject",
-    big_m: Optional[float] = None,
+    project_mean: bool = False,
     g_other: Optional[Nonlinearity] = None,
 ) -> AssembledProblem:
     """Solve u0, derive all constants, and build the ProblemSpec.
@@ -44,16 +43,16 @@ def assemble_problem(
     When `g_other` is given (continuity experiments), the snapshot's C2 bound
     covers both nonlinearities, so the certified range is valid for either.
     """
-    u0 = solve_linear(source, LinearSolveOptions(mean_policy=mean_policy))
+    u0 = solve_linear(source, project_mean)
     u0_h4 = spectral.norm_h4(u0)
     c_e = embedding_constant(grid.d)
     interval = build_interval(u0_h4, c_e)
-    m = c2_norm(g, interval, big_m=big_m).big_m
+    m = c2_norm(g, interval).c2_norm
     if g_other is not None:
         m = max(m, c2_norm(g_other, interval).c2_norm)
     k_l1 = spectral.norm_l1(kernel)
     k_l2 = spectral.norm_l2(kernel)
-    snapshot = make_snapshot(grid.d, rho, m, u0_h4, k_l1, k_l2)
+    snapshot = make_snapshot(grid.d, rho, m, u0_h4, k_l1, k_l2, c_e)
     eps = snapshot.epsilon_max if epsilon is None else epsilon
     ps = ProblemSpec(
         grid=grid,
@@ -66,6 +65,6 @@ def assemble_problem(
         interval=interval,
         tol_fp=tol_fp,
         max_iter=max_iter,
-        mean_policy=mean_policy,
+        project_mean=project_mean,
     )
     return AssembledProblem(ps=ps, u0=u0, interval=interval, snapshot=snapshot)

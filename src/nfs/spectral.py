@@ -26,6 +26,8 @@ from scipy import fft
 
 from .grid import GridSpec, RealField, SpectralField, check_same_grid
 
+SHELL = 0.1  # relative thickness of the outer shell of the box
+
 
 @dataclass(frozen=True)
 class HalfLattice:
@@ -127,18 +129,19 @@ def norm_h4_spectral(F: SpectralField) -> float:
     return _weighted_norm(F, half_lattice(F.spec).h4_weight)
 
 
-def outer_shell_mass_fraction(f: RealField, shell: float = 0.1) -> float:
-    """Fraction of the L1 mass carried by points with any |x_i| >= (1-shell) L."""
+def outer_shell_mass_fraction(f: RealField) -> float:
+    """Fraction of the L1 mass carried by points with any |x_i| >= (1 - SHELL) L."""
     spec = f.spec
     coords = np.abs(spec.axis_coords())
-    edge = (1.0 - shell) * spec.half_width
+    edge = (1.0 - SHELL) * spec.half_width
     outer = coords >= edge
     mask = np.zeros(spec.shape, dtype=bool)
     for axis in range(spec.d):
         shape = [1] * spec.d
         shape[axis] = spec.n
         mask |= outer.reshape(shape)
-    total = np.sum(np.abs(f.values))
+    mag = np.abs(f.values)
+    total = np.sum(mag)
     if total == 0:
         return 0.0
-    return float(np.sum(np.abs(f.values.reshape(spec.shape))[mask]) / total)
+    return float(np.sum(mag.reshape(spec.shape)[mask]) / total)

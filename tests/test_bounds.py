@@ -109,11 +109,6 @@ class TestEmbeddingConstant:
     def test_value_d5(self):
         assert embedding_constant(5) == pytest.approx(0.0386, abs=5e-5)
 
-    def test_quadrature_convergence(self):
-        a = embedding_constant(5, quad_points=400)
-        b = embedding_constant(5, quad_points=800)
-        assert abs(a - b) < 1e-9
-
     def test_bad_dimension(self):
         for d in (4, 8):
             with pytest.raises(BadDimension):
@@ -224,7 +219,7 @@ class TestSigma:
 
 class TestContinuityBound:
     def _snapshot(self):
-        return make_snapshot(5, 1.0, 2.0, 1.0, 1.0, 1.0)
+        return make_snapshot(5, 1.0, 2.0, 1.0, 1.0, 1.0, embedding_constant(5))
 
     def test_zero_distance(self):
         snap = self._snapshot()

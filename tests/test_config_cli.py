@@ -14,7 +14,7 @@ from nfs import builders, cli
 from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
-from nfs.grid import GridSpec, read_field, write_field
+from nfs.grid import GridSpec, RealField, read_field, write_field
 from nfs.linear import SequenceReport
 from nfs.nonlinearity import Nonlinearity
 from nfs.spectral import norm_l1
@@ -30,6 +30,13 @@ def _listed(values):
 
 _POSITIVE = _numbers(min_value=0.0, exclude_min=True).map(repr)
 _PATH = st.text("abcxyz019/._-", min_size=1, max_size=12).filter(lambda t: t.strip() == t)
+
+
+def _type(section, builtin):
+    """The built-in type, or `file` followed by the config line naming its path."""
+    return st.one_of(st.just(builtin), _PATH.map(lambda p: f"file\n{section}.file = {p}"))
+
+
 # valid values, as config text, for every key of the table
 VALUES = {
     "grid.dimension": st.integers(1, 7).map(str),
@@ -45,11 +52,11 @@ VALUES = {
     "run.mean_policy": st.sampled_from(["reject", "project"]),
     "run.trials": st.integers(1, 10**4).map(str),
     "sequence.count": st.integers(1, 10**4).map(str),
-    "kernel.type": st.just("gaussian"),  # a file kernel is selected by naming kernel.file
+    "kernel.type": _type("kernel", "gaussian"),
     "kernel.sigma": _POSITIVE,
     "kernel.amplitude": _numbers().map(repr),
     "kernel.file": _PATH,
-    "source.type": st.just("gaussian-diff"),
+    "source.type": _type("source", "gaussian-diff"),
     "source.centers": st.tuples(_numbers(), _numbers()).map(_listed),
     "source.widths": st.tuples(*[_numbers(min_value=0.0, exclude_min=True)] * 2).map(_listed),
     "source.amplitude": _numbers().map(repr),
@@ -136,6 +143,11 @@ class TestParseConfig:
     def test_naming_a_file_selects_it(self):
         cfg = parse_config("kernel.file = k.nfs1\nsource.file = f.nfs1")
         assert (cfg.kernel.type, cfg.source.type) == ("file", "file")
+
+    @pytest.mark.parametrize("part", ["kernel", "source"])
+    def test_file_type_needs_a_path(self, part):
+        with pytest.raises(ConfigError, match=f"{part}.type = file needs {part}.file"):
+            parse_config(f"{part}.type = file")
 
 
 class TestBuilders:
@@ -353,6 +365,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n=4" in err and "n=8" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "values, gate",
+        [(np.eye(1, 8**5).ravel(), "outer 10% shell"), (np.zeros(8**5), "identically zero")],
+        ids=["corner-mass", "zero"],
+    )
+    def test_field_file_gates(self, values, gate, tmp_path, capsys):
+        path = str(tmp_path / "k.nfs1")
+        write_field(path, RealField(GridSpec(5, 8, 12.566370614359172), values))
+        assert self._solve_with_kernel_file(tmp_path, path) == 3
+        err = capsys.readouterr().err
+        assert gate in err and err.count("\n") == 1
+
     def _one_config_error(self, args, capsys):
         assert run_cli(args) == 2
         err = capsys.readouterr().err
@@ -371,6 +395,12 @@ class TestCli:
     def test_seed_override_validated(self, cfg_path, tmp_path, capsys):
         args = ["contraction", "--config", cfg_path, "--out", str(tmp_path), "--seed", "-3"]
         assert "seed must be nonnegative" in self._one_config_error(args, capsys)
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._one_config_error(["bounds", "--config", str(tmp_path), "--out", str(tmp_path)], capsys)
+
+    def test_out_is_a_file(self, cfg_path, capsys):
+        self._one_config_error(["bounds", "--config", cfg_path, "--out", cfg_path], capsys)
 
 
 class TestVerdictFailures:

@@ -19,7 +19,7 @@ from nfs.fixedpoint import (
     solve_fixed_point,
 )
 from nfs.grid import GridSpec, RealField, zeros_like
-from nfs.linear import LinearSolveOptions, solve_linear_full
+from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import IntervalExceeded
 from nfs.nonlinearity import IntervalI, Nonlinearity
 from nfs.spectral import norm_h4, norm_l2
@@ -60,10 +60,8 @@ class TestApplyTg:
         gu = RealField(ps.grid, ps.g.g(u0.values + v.values))
         conv = spectral.convolve(ps.kernel, gu)
         rhs = RealField(ps.grid, ps.epsilon * conv.values)
-        sol = solve_linear_full(
-            spectral.forward_transform(rhs), LinearSolveOptions(mean_policy="project")
-        )
-        want = spectral.inverse_transform(sol.u)
+        sol = solve_linear_full(spectral.forward_transform(rhs), project=True)
+        want = spectral.inverse_transform(sol)
         assert np.max(np.abs(out.values - want.values)) < 1e-13
 
     def test_certified_self_map(self, standard_scenario):
@@ -159,7 +157,7 @@ class TestSampleBall:
 class TestMeasureContraction:
     def test_zero_epsilon_all_zero(self):
         ps = small_problem(0.0)
-        stats = measure_contraction(ps, trials=3, seed=1)
+        stats = measure_contraction(ps, trials=3, seed=1, u0=solve_linear(ps.source))
         assert stats.ratios == [0.0, 0.0, 0.0]
         assert stats.bound is None
 

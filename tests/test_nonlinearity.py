@@ -73,7 +73,7 @@ class TestC2Norm:
         g = Nonlinearity(funcs=(lambda z: 1.0 - np.cos(z), np.sin, np.cos))
         with pytest.raises(NonconformingG):
             Nonlinearity(funcs=(np.cos, np.sin, np.cos))
-        rep = c2_norm(g, UNIT, samples=2001)
+        rep = c2_norm(g, UNIT)
         # on [-1, 1]: sup(1 - cos) = 1 - cos(1), sup sin = sin(1), sup cos = 1
         expected = (1.0 - np.cos(1.0)) + np.sin(1.0) + 1.0
         assert rep.c2_norm == pytest.approx(expected, rel=1e-6)
@@ -89,13 +89,14 @@ class TestC2Norm:
 
 class TestDmMembership:
     def test_boundary_included(self):
-        rep = C2Report(1.0, 2.0, 2.0, 5.0, 5.0)
+        rep = C2Report(1.0, 2.0, 2.0, 5.0)
         assert check_dm_membership(rep, 5.0)
         assert not check_dm_membership(rep, 4.999)
 
-    def test_default_m_is_computed_norm(self):
-        rep = c2_norm(Nonlinearity(coeffs=[1.0]), UNIT)
-        assert check_dm_membership(rep, rep.big_m)
+    def test_default_m_is_computed_norm(self, standard_scenario):
+        rep = c2_norm(standard_scenario.ps.g, standard_scenario.interval)
+        assert standard_scenario.snapshot.big_m == rep.c2_norm
+        assert check_dm_membership(rep, standard_scenario.snapshot.big_m)
 
 
 class TestCompose:
