@@ -34,7 +34,6 @@ from .nonlinearity import (
     build_interval,
     c2_distance,
     c2_norm,
-    check_dm_membership,
     compose,
 )
 from .pipeline import assemble_problem

@@ -20,12 +20,14 @@ from .bounds import minimize_phi, sphere_measure
 from .config import RunConfig, echo_config, parse_config
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
-from .grid import GridSpec, RealField, read_field, write_field
+from .grid import GridSpec, RealField, memory_budget_mb, read_field, write_field
 from .linear import SEQUENCE_SLACK, sequence_experiment, solve_linear
 from .nonlinearity import IntervalI, Nonlinearity, c2_norm
 from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
+BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
+FIELDS = 18  # real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction
 
 
 def _fmt(x: float) -> str:
@@ -56,7 +58,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _build_grid(cfg: RunConfig) -> GridSpec:
-    return GridSpec(cfg.dimension, cfg.n, cfg.half_width)
+    gs = GridSpec(cfg.dimension, cfg.n, cfg.half_width)
+    need_mb, budget_mb = BASE_MB + FIELDS * gs.size * 8 / 2**20, memory_budget_mb()
+    if need_mb > budget_mb:  # checked before any field is allocated
+        raise ConfigError(f"a command on {gs.size} grid points needs about {need_mb:.0f} MB, over the "
+                          f"memory budget of {budget_mb} MB (set NFS_MEMORY_BUDGET_MB to raise it)")
+    return gs
 
 
 def _read_on_grid(path: str, gs: GridSpec, what: str) -> RealField:
@@ -129,15 +136,15 @@ def cmd_solve_linear(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out: str) -> int:
-    ap = _assemble(cfg)
-    report = solve_fixed_point(ap.ps)
+    ps = _assemble(cfg).ps  # the assembled u0 is freed: the solve computes its own
+    report = solve_fixed_point(ps)
     write_field(os.path.join(out, "u.nfs1"), report.u)
     tr = report.trace
     rows = [[i, *r] for i, r in enumerate(zip(tr.iterate_h4, tr.step_h4, tr.ratio, tr.residual))]
     _write_csv(os.path.join(out, "trace.csv"), ["iter", "u_h4", "step_h4", "ratio", "residual"], rows)
-    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
+    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ps.bounds).items()]
     lines += [
-        f"epsilon = {_fmt(ap.ps.epsilon)}",
+        f"epsilon = {_fmt(ps.epsilon)}",
         f"guarantee = {report.guarantee}",
         f"converged = {report.converged}",
         f"iterations = {len(tr.step_h4)}",
@@ -172,8 +179,8 @@ def cmd_continuity(cfg: RunConfig, out: str) -> int:
     if cfg.coeffs2 is None:
         raise ConfigError("continuity requires nonlinearity.coeffs2")
     g2 = Nonlinearity(coeffs=cfg.coeffs2)
-    ap1 = _assemble(cfg, g2=g2)
-    rep = continuity_experiment(ap1.ps, dataclasses.replace(ap1.ps, g=g2), slack=cfg.slack)
+    ps1 = _assemble(cfg, g2=g2).ps
+    rep = continuity_experiment(ps1, dataclasses.replace(ps1, g=g2), slack=cfg.slack)
     lines = [
         f"measured_h4 = {_fmt(rep.measured)}",
         f"bound = {_fmt(rep.bound)}",
@@ -197,9 +204,8 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
         widths=(1.0, 1.0),
         amplitude=0.1 * cfg.source.amplitude,
     )
-    perts = [
-        RealField(gs, h.values / k) for k in range(1, cfg.sequence_count + 1)
-    ]
+    # built one at a time, so the working set does not grow with sequence.count
+    perts = (RealField(gs, h.values / k) for k in range(1, cfg.sequence_count + 1))
     rep = sequence_experiment(source, perts, cfg.project_mean)
     rows = [
         [k + 1, rep.df_l1[k], rep.df_l2[k], rep.du_h4[k], rep.majorant[k], rep.ok[k]]

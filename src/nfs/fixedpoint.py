@@ -144,10 +144,11 @@ def _residual(
     ps: ProblemSpec, r0: np.ndarray, vh: np.ndarray, conv: Optional[np.ndarray]
 ) -> float:
     """L2 norm of r0 + eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped."""
-    res = ps.lattice.symbol * vh
-    np.subtract(r0, res, out=res)
-    if conv is not None:
-        res += conv
+    res = np.zeros_like(vh) if conv is None else conv  # callers do not read conv afterwards
+    slabs = (a.reshape(len(a), -1) for a in (res, ps.lattice.symbol, r0, vh))
+    for out, s, r, v in zip(*slabs):  # one axis-0 slab at a time
+        t = s * v
+        out += np.subtract(r, t, out=t)  # the same bits as t + conv
     res[(0,) * ps.grid.d] = 0.0
     return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
 
@@ -162,7 +163,8 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     """Iterate v <- t_g(v) from v = 0 until the relative H4 step converges.
 
     The residual of iterate k uses the g(u0 + v_k) that step k + 1 transforms
-    anyway; only the last iterate needs one more forward transform for it.
+    anyway; only the last iterate needs one more forward transform for it. The
+    real iterate v lives only from its inverse transform to the composition.
     """
     grid = ps.grid
     fh = spectral.forward_transform(ps.source)
@@ -179,8 +181,10 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     grow_streak = 0
     for _ in range(ps.max_iter):
         vh_next, conv = _image(ps, u0, v, v_h4)
+        del v
         if trace.step_h4:  # the previous iterate's residual, from this step's G
             trace.residual.append(_residual(ps, r0, vh, conv))
+        del conv
         prev = trace.step_h4[-1] if trace.step_h4 else None
         step = _h4(grid, vh_next - vh)
         v_h4 = _h4(grid, vh_next)
@@ -191,17 +195,18 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         if grow_streak >= 5:
             raise Diverged("fixed-point step grew for 5 consecutive iterations")
         vh = vh_next
-        v = spectral.inverse_transform(SpectralField(grid, vh))
         if step <= ps.tol_fp * max(1.0, v_h4):
             break
+        v = spectral.inverse_transform(SpectralField(grid, vh))
     else:
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
-    u = RealField(grid, u0.values + v.values)
+    v = spectral.inverse_transform(SpectralField(grid, vh))
     conv = None  # like residual(), no interval or ball check on the last iterate
-    if ps.epsilon != 0.0:
-        conv = spectral.dft(RealField(grid, ps.g.g(u.values)))
+    if ps.epsilon != 0.0:  # u is built after G^, so G and u are not alive at once
+        conv = spectral.dft(RealField(grid, ps.g.g(u0.values + v.values)))
         conv *= ps.multiplier
     trace.residual.append(_residual(ps, r0, vh, conv))
+    u = RealField(grid, u0.values + v.values)
     return SolveReport(
         u0=u0,
         u_p=v,
@@ -221,7 +226,7 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
     matches the mean handling of the solve.
     """
     uh = spectral.forward_transform(u).coeffs
-    p2 = ps.lattice.p2
+    p2 = spectral.p2(ps.grid)
     rhs = RealField(ps.grid, ps.source.values.copy())
     if ps.epsilon != 0.0:
         gu = RealField(ps.grid, np.asarray(ps.g.g(u.values)))
@@ -237,7 +242,7 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
 def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Flat index of each half-lattice mode's mirror -k mod n, and the damping 0.5 / (1 + |p|^4)."""
     axes = np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape])
-    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.half_lattice(grid).p2 ** 2)
+    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.p2(grid) ** 2)
 
 
 def sample_ball_spectrum(
@@ -291,11 +296,12 @@ def measure_contraction(
         for vh in (v1h, v2h):
             _check_ball(ps, _h4(grid, vh))
         ratio = 0.0
-        if ps.epsilon != 0.0:
-            v1, v2 = (spectral.inverse_transform(SpectralField(grid, vh)) for vh in (v1h, v2h))
-            g1, g2 = (compose(ps.g, u0, v, ps.interval) for v in (v1, v2))
+        if ps.epsilon != 0.0:  # each v is freed once g(u0 + v) is built
+            g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vh)), ps.interval)
+                      for vh in (v1h, v2h))
             diff = _solve_conv(ps, spectral.dft(RealField(grid, g1.values - g2.values)))[0]
             ratio = _h4(grid, diff) / dist
+            del g1, g2, diff  # not kept alive through the next pair's draws
         ratios.append(ratio)
         distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
@@ -323,9 +329,9 @@ def continuity_experiment(
     snapshot = ps1.bounds
     if snapshot is None:
         raise ValueError("continuity experiment needs a bounds snapshot")
-    r1 = solve_fixed_point(ps1)
-    r2 = solve_fixed_point(ps2)
-    measured = spectral.norm_h4(RealField(ps1.grid, r1.u.values - r2.u.values))
+    u1 = solve_fixed_point(ps1).u  # the rest of the first report is freed before the second solve
+    u2 = solve_fixed_point(ps2).u
+    measured = spectral.norm_h4(RealField(ps1.grid, u1.values - u2.values))
     interval = ps1.interval
     g_dist = c2_distance(ps1.g, ps2.g, interval)
     bound = continuity_bound(ps1.epsilon, snapshot, g_dist)

@@ -20,9 +20,13 @@ HEADER = struct.Struct("<4sIId")  # magic, d, n, half_width
 DEFAULT_MEMORY_BUDGET_MB = 4096
 
 
-def _memory_budget_bytes() -> int:
-    mb = int(os.environ.get("NFS_MEMORY_BUDGET_MB", DEFAULT_MEMORY_BUDGET_MB))
-    return mb * 1024 * 1024
+def memory_budget_mb() -> int:
+    """NFS_MEMORY_BUDGET_MB, or its default; a value that is not a whole number is a config error."""
+    raw = os.environ.get("NFS_MEMORY_BUDGET_MB", str(DEFAULT_MEMORY_BUDGET_MB))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"NFS_MEMORY_BUDGET_MB must be a whole number of MB, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class GridSpec:
             raise ConfigError(f"n must be a power of two >= 4, got {self.n}")
         if not (self.half_width > 0):
             raise ConfigError(f"half_width must be positive, got {self.half_width}")
-        if self.size * 8 > _memory_budget_bytes():
+        if self.size * 8 > memory_budget_mb() * 2**20:
             raise ConfigError(
                 f"grid of {self.size} points exceeds the memory budget "
                 f"(set NFS_MEMORY_BUDGET_MB to raise it)"
@@ -123,7 +127,7 @@ def write_field(path: str, f: RealField) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, f.spec.d, f.spec.n, f.spec.half_width))
-        fh.write(f.values.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))  # a view on little-endian hosts
     os.replace(tmp, path)
 
 
@@ -137,10 +141,8 @@ def read_field(path: str) -> RealField:
         if magic != MAGIC:
             raise ConfigError(f"bad magic {magic!r} in {path}")
         spec = GridSpec(d, n, half_width)
-        payload = fh.read()
-        if len(payload) != spec.size * 8:
-            raise ConfigError(
-                f"payload length {len(payload)} != expected {spec.size * 8} in {path}"
-            )
-        values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        values = np.empty(spec.size, dtype="<f8")
+        length = fh.readinto(values) + len(fh.read())
+        if length != spec.size * 8:
+            raise ConfigError(f"payload length {length} != expected {spec.size * 8} in {path}")
     return RealField(spec, values)

@@ -9,6 +9,7 @@ obstruction: by default a source with too much mean mass is refused; with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:
 
 
 def sequence_experiment(
-    f: RealField, perturbations: list[RealField], project: bool = False
+    f: RealField, perturbations: Iterable[RealField], project: bool = False
 ) -> SequenceReport:
     """Solve for f and each f + perturbation; check the majorant dominates."""
     d = f.spec.d

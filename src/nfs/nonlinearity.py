@@ -149,11 +149,6 @@ def c2_norm(g: Nonlinearity, interval: IntervalI) -> C2Report:
     return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=total)
 
 
-def check_dm_membership(report: C2Report, big_m: float) -> bool:
-    """True iff the C2 norm fits inside the closed ball of radius big_m."""
-    return report.c2_norm <= big_m
-
-
 def compose(
     g: Nonlinearity,
     u0: RealField,

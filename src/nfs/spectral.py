@@ -27,13 +27,13 @@ from scipy import fft
 from .grid import GridSpec, RealField, SpectralField, check_same_grid
 
 SHELL = 0.1  # relative thickness of the outer shell of the box
+BLOCK = 1 << 16  # elements per pass of _weighted_norm; a smaller spectrum takes one pass
 
 
 @dataclass(frozen=True)
 class HalfLattice:
     """Per-grid multipliers on the half lattice, in rfftn layout."""
 
-    p2: np.ndarray  # |p_k|^2
     symbol: np.ndarray  # |p_k|^2 + |p_k|^4, zero mode set to 1 (callers drop it)
     hermitian: np.ndarray  # w_k along the last axis, broadcastable
     h4_weight: np.ndarray  # w_k (1 + |p_k|^8)
@@ -41,22 +41,26 @@ class HalfLattice:
     to_dft: np.ndarray  # phase / scale: calibrated coefficients -> irfftn input
 
 
+def p2(spec: GridSpec) -> np.ndarray:
+    """|p_k|^2 on the half lattice, built on demand: the cached lattice does not keep it."""
+    pk, out = spec.axis_freqs(), np.zeros(spec.half_shape)
+    for axis, m in enumerate(spec.half_shape):
+        out += (pk[:m] ** 2).reshape((m,) + (1,) * (spec.d - 1 - axis))
+    return out
+
+
 @lru_cache(maxsize=4)
 def half_lattice(spec: GridSpec) -> HalfLattice:
     """The grid's half-lattice arrays, built once and read-only: every caller shares them."""
-    pk = spec.axis_freqs()
-    p2, phase = np.zeros(spec.half_shape), np.ones(spec.half_shape)
+    q, phase = p2(spec), np.ones(spec.half_shape)
     for axis, m in enumerate(spec.half_shape):
-        shape = [1] * spec.d
-        shape[axis] = m
-        p2 = p2 + (pk[:m] ** 2).reshape(shape)
-        phase = phase * ((-1.0) ** np.arange(m)).reshape(shape)
-    symbol = p2 + p2**2
+        phase = phase * ((-1.0) ** np.arange(m)).reshape((m,) + (1,) * (spec.d - 1 - axis))
+    symbol = q + q**2
     symbol[(0,) * spec.d] = 1.0
     hermitian = np.full(spec.half_shape[-1], 2.0)
     hermitian[[0, -1]] = 1.0
     scale = spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0)
-    arrays = (p2, symbol, hermitian, hermitian * (1.0 + p2**4), phase * scale, phase / scale)
+    arrays = (symbol, hermitian, hermitian * (1.0 + q**4), phase * scale, phase / scale)
     for a in arrays:
         a.flags.writeable = False
     return HalfLattice(*arrays)
@@ -106,9 +110,13 @@ def norm_linf(f: RealField) -> float:
 
 
 def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
-    mag2 = np.square(F.coeffs.real)
-    mag2 += np.square(F.coeffs.imag)
-    mag2 *= weight
+    """sqrt((dp)^d sum w |c|^2): imag^2 and w go in per block, and |c|^2 is summed once, unblocked."""
+    coeffs = F.coeffs.reshape(-1, F.coeffs.shape[-1])
+    mag2, w = np.square(coeffs.real), weight.reshape(-1, coeffs.shape[1])
+    step = max(1, BLOCK // coeffs.shape[1])
+    for b in (slice(i, i + step) for i in range(0, len(coeffs), step)):
+        mag2[b] += np.square(coeffs[b].imag)
+        mag2[b] *= w if len(w) == 1 else w[b]
     return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * np.sum(mag2)))
 
 

@@ -3,6 +3,7 @@ commands end to end."""
 
 import dataclasses
 import os
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -356,6 +357,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "memory budget" in err and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_whole_run_over_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # one d = 7, n = 16 field (2,147 MB) fits the default budget; a solve's working set does not
+        monkeypatch.delenv("NFS_MEMORY_BUDGET_MB", raising=False)
+        with pytest.raises(ConfigError, match="memory budget"):
+            cli._build_grid(parse_config("grid.dimension = 7\ngrid.n = 16\n"))
+        p = tmp_path / "run.cfg"
+        p.write_text("grid.dimension = 7\ngrid.n = 16\n")
+        tracemalloc.start()
+        try:
+            rc = run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "memory budget" in err and err.count("\n") == 1
+        assert peak < 2**20  # refused before any field is allocated
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_memory_budget_not_an_integer(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NFS_MEMORY_BUDGET_MB", value)
+        err = self._one_config_error(["solve", "--out", str(tmp_path / "out")], capsys)
+        assert "NFS_MEMORY_BUDGET_MB" in err and repr(value) in err
+
+    @pytest.mark.parametrize("command", ["solve", "contraction", "continuity", "sequences"])
+    def test_command_peak_within_memory_model(self, command, cfg_path, tmp_path):
+        with open(cfg_path, "a", encoding="utf-8") as fh:
+            fh.write("nonlinearity.coeffs2 = 1.0, 0.1\n")
+        tracemalloc.start()
+        try:
+            rc = run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= cli.FIELDS * 8 * 8**5
 
     def test_field_file_grid_mismatch(self, tmp_path, capsys):
         gs = GridSpec(5, 4, 12.566370614359172)

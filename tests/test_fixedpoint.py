@@ -3,11 +3,13 @@ oracle, geometric decay, sampled Lipschitz ratios, and sensitivity to the
 nonlinearity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from nfs import builders, pipeline, spectral
+from nfs import builders, fixedpoint, pipeline, spectral
 from nfs.fixedpoint import (
     ProblemSpec,
     apply_tg,
@@ -109,6 +111,35 @@ class TestSolveFixedPoint:
         r2 = solve_fixed_point(ps, v_start=v_start)
         diff = norm_h4(RealField(ps.grid, r1.u.values - r2.u.values))
         assert diff < 1e-8
+
+    def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
+        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
+        calls = {"fft": 0, "solve": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
+        monkeypatch.setattr(fixedpoint, "solve_linear_full", counted(solve_linear_full, "solve"))
+        k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
+        assert (calls["fft"], calls["solve"]) == (2 * k + 3, k + 1)
+
+    def test_working_set(self, standard_scenario):
+        ps = standard_scenario.ps
+        solve_fixed_point(ps)  # the half lattice and the FFT plans are built outside the window
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_fixed_point(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (8 * ps.grid.size) <= 8.0  # real fields alive at the peak
 
     def test_smaller_epsilon_smaller_correction(self, standard_scenario):
         ps = standard_scenario.ps

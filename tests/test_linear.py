@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nfs import spectral
 from nfs.errors import NonDecayingSource, TrivialSource
 from nfs.grid import GridSpec, RealField, SpectralField
 from nfs.linear import (
@@ -13,7 +14,6 @@ from nfs.linear import (
 )
 from nfs.spectral import (
     forward_transform,
-    half_lattice,
     inverse_transform,
     norm_h4,
     norm_l2,
@@ -70,7 +70,7 @@ class TestSolveLinear:
         spec = GridSpec(d, 8, 1.5)
         f = mean_free_random(spec, seed=d)
         u = solve_linear(f)
-        p2 = half_lattice(spec).p2
+        p2 = spectral.p2(spec)
         uh = forward_transform(u).coeffs
         back = inverse_transform(SpectralField(spec, uh * p2 + uh * p2**2))
         rel = norm_l2(RealField(spec, back.values - f.values)) / norm_l2(f)

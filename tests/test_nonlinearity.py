@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from nfs.errors import IntervalExceeded, NonconformingG
 from nfs.grid import GridSpec, RealField
 from nfs.nonlinearity import (
-    C2Report,
     IntervalI,
     Nonlinearity,
     build_interval,
     c2_distance,
     c2_norm,
-    check_dm_membership,
     compose,
 )
 
@@ -88,15 +86,9 @@ class TestC2Norm:
 
 
 class TestDmMembership:
-    def test_boundary_included(self):
-        rep = C2Report(1.0, 2.0, 2.0, 5.0)
-        assert check_dm_membership(rep, 5.0)
-        assert not check_dm_membership(rep, 4.999)
-
     def test_default_m_is_computed_norm(self, standard_scenario):
         rep = c2_norm(standard_scenario.ps.g, standard_scenario.interval)
         assert standard_scenario.snapshot.big_m == rep.c2_norm
-        assert check_dm_membership(rep, standard_scenario.snapshot.big_m)
 
 
 class TestCompose:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from nfs import builders
+from nfs import builders, spectral
 from nfs.errors import GridMismatch, NFSError
 from nfs.grid import GridSpec, RealField, SpectralField, read_field, write_field
 from nfs.spectral import (
     convolve,
     forward_transform,
-    half_lattice,
     inverse_transform,
     norm_h4,
     norm_l1,
@@ -114,7 +113,7 @@ class TestInverseTransform:
 
 def times_symbol(F: SpectralField, symbol) -> SpectralField:
     """Multiply the spectrum by a function of |p_k|^2."""
-    return SpectralField(F.spec, F.coeffs * symbol(half_lattice(F.spec).p2))
+    return SpectralField(F.spec, F.coeffs * symbol(spectral.p2(F.spec)))
 
 
 class TestApplySymbol:
