@@ -107,8 +107,8 @@ def _kernel_term(d: int, u0_h4: float, **positive: float) -> tuple[float, float]
     if d <= 4:
         raise BadDimension(f"bound formulas need d >= 5, got {d}")
     for name, value in positive.items():
-        if not (value > 0):
-            raise NonPositiveInput(f"{name} must be positive, got {value}")
+        if not (0 < value < np.inf):
+            raise NonPositiveInput(f"{name} must be positive and finite, got {value}")
     if u0_h4 < 0:
         raise NonPositiveInput(f"u0_h4 must be nonnegative, got {u0_h4}")
     u = u0_h4 + 1.0

@@ -331,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"command {args.command!r} needs dimension >= 5, got {cfg.dimension}"
             )
         os.makedirs(cfg.output_dir, exist_ok=True)
-        return HANDLERS[args.command](cfg, cfg.output_dir)
+        with np.errstate(all="ignore"):  # a non-finite number is refused by name, not warned about
+            return HANDLERS[args.command](cfg, cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,11 +31,11 @@ class BadDimension(NFSError):
     """Dimension outside the valid range of a closed-form constant."""
 
 
-class NonPositiveInput(NFSError):
-    """A strictly positive parameter was zero or negative."""
+class NonPositiveInput(AssumptionError):
+    """A parameter that must be positive (or nonnegative) and finite is not."""
 
 
-class ContractionViolated(NFSError):
+class ContractionViolated(AssumptionError):
     """epsilon * sigma >= 1, so the contraction guarantee does not apply."""
 
 

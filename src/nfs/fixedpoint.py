@@ -140,15 +140,13 @@ def _image(
     return _solve_conv(ps, spectral.dft(compose(ps.g, u0, v, ps.interval)))
 
 
-def _residual(
-    ps: ProblemSpec, r0: np.ndarray, vh: np.ndarray, conv: Optional[np.ndarray]
-) -> float:
-    """L2 norm of r0 + eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped."""
+def _residual(ps: ProblemSpec, vh: np.ndarray, conv: Optional[np.ndarray]) -> float:
+    """L2 norm of eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped
+    (off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding, so it is left out)."""
     res = np.zeros_like(vh) if conv is None else conv  # callers do not read conv afterwards
-    slabs = (a.reshape(len(a), -1) for a in (res, ps.lattice.symbol, r0, vh))
-    for out, s, r, v in zip(*slabs):  # one axis-0 slab at a time
-        t = s * v
-        out += np.subtract(r, t, out=t)  # the same bits as t + conv
+    slabs = (a.reshape(len(a), -1) for a in (res, ps.lattice.symbol, vh))
+    for out, s, v in zip(*slabs):  # one axis-0 slab at a time
+        out -= s * v
     res[(0,) * ps.grid.d] = 0.0
     return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
 
@@ -167,11 +165,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     real iterate v lives only from its inverse transform to the composition.
     """
     grid = ps.grid
-    fh = spectral.forward_transform(ps.source)
-    u0h = solve_linear_full(fh, ps.project_mean).coeffs
-    u0 = spectral.inverse_transform(SpectralField(grid, u0h))
-    r0 = fh.coeffs - ps.lattice.symbol * u0h  # f^ - (|p|^2 + |p|^4) u0^, in every residual
-    del fh, u0h
+    u0 = spectral.inverse_transform(solve_linear_full(spectral.forward_transform(ps.source), ps.project_mean))
     if v_start is None:
         v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
     else:
@@ -183,7 +177,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         vh_next, conv = _image(ps, u0, v, v_h4)
         del v
         if trace.step_h4:  # the previous iterate's residual, from this step's G
-            trace.residual.append(_residual(ps, r0, vh, conv))
+            trace.residual.append(_residual(ps, vh, conv))
         del conv
         prev = trace.step_h4[-1] if trace.step_h4 else None
         step = _h4(grid, vh_next - vh)
@@ -205,7 +199,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     if ps.epsilon != 0.0:  # u is built after G^, so G and u are not alive at once
         conv = spectral.dft(RealField(grid, ps.g.g(u0.values + v.values)))
         conv *= ps.multiplier
-    trace.residual.append(_residual(ps, r0, vh, conv))
+    trace.residual.append(_residual(ps, vh, conv))
     u = RealField(grid, u0.values + v.values)
     return SolveReport(
         u0=u0,

@@ -50,7 +50,7 @@ def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField
         if zero_mass > tol * l2:
             raise NonDecayingSource(
                 f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
-                f"||f||_L2 = {tol * l2:.3e}; use mean_policy=project"
+                f"||f||_L2 = {tol * l2:.3e}; use run.mean_policy = project, or project=True"
             )
     coeffs = fh.coeffs / spectral.half_lattice(fh.spec).symbol
     coeffs[zero] = 0.0

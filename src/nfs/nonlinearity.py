@@ -82,8 +82,12 @@ class Nonlinearity:
                 raise NonconformingG("polynomial must not be identically zero")
             # full ascending coefficient arrays of g, g', g'', degrees 0..J
             self._asc = np.concatenate([[0.0, 0.0], self.coeffs])
-            self._asc1 = np.polynomial.polynomial.polyder(self._asc)
-            self._asc2 = np.polynomial.polynomial.polyder(self._asc, 2)
+            with np.errstate(over="ignore"):  # an overflow is refused below, by name
+                self._asc1 = np.polynomial.polynomial.polyder(self._asc)
+                self._asc2 = np.polynomial.polynomial.polyder(self._asc, 2)
+            for name, asc in (("g", self._asc), ("g'", self._asc1), ("g''", self._asc2)):
+                if not np.all(np.isfinite(asc)):
+                    raise NonconformingG(f"{name} has non-finite polynomial coefficients")
             funcs = tuple(partial(_horner, asc) for asc in (self._asc, self._asc1, self._asc2))
         self.g, self.g1, self.g2 = funcs
         for name, val in (("g(0)", self.g(0.0)), ("g'(0)", self.g1(0.0))):

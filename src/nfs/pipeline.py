@@ -7,14 +7,16 @@ linear problem is solved before any constant is evaluated. `epsilon=None`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
+from .errors import NonPositiveInput
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
-from .linear import solve_linear
+from .linear import solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_norm
 
 
@@ -43,8 +45,10 @@ def assemble_problem(
     When `g_other` is given (continuity experiments), the snapshot's C2 bound
     covers both nonlinearities, so the certified range is valid for either.
     """
-    u0 = solve_linear(source, project_mean)
-    u0_h4 = spectral.norm_h4(u0)
+    u0h = solve_linear_full(spectral.forward_transform(source), project_mean)
+    u0_h4 = spectral.norm_h4_spectral(u0h)
+    if not math.isfinite(u0_h4):
+        raise NonPositiveInput(f"u0_h4 must be finite, got {u0_h4}; scale the source down")
     c_e = embedding_constant(grid.d)
     interval = build_interval(u0_h4, c_e)
     m = c2_norm(g, interval).c2_norm
@@ -67,4 +71,5 @@ def assemble_problem(
         max_iter=max_iter,
         project_mean=project_mean,
     )
+    u0 = spectral.inverse_transform(u0h)
     return AssembledProblem(ps=ps, u0=u0, interval=interval, snapshot=snapshot)

@@ -139,17 +139,11 @@ def norm_h4_spectral(F: SpectralField) -> float:
 
 def outer_shell_mass_fraction(f: RealField) -> float:
     """Fraction of the L1 mass carried by points with any |x_i| >= (1 - SHELL) L."""
-    spec = f.spec
-    coords = np.abs(spec.axis_coords())
-    edge = (1.0 - SHELL) * spec.half_width
-    outer = coords >= edge
-    mask = np.zeros(spec.shape, dtype=bool)
-    for axis in range(spec.d):
-        shape = [1] * spec.d
-        shape[axis] = spec.n
-        mask |= outer.reshape(shape)
-    mag = np.abs(f.values)
+    coords, edge = f.spec.axis_coords(), (1.0 - SHELL) * f.spec.half_width
+    inner = slice(np.searchsorted(coords, -edge, "right"), np.searchsorted(coords, edge))  # |x_i| < edge
+    mag = np.abs(f.reshaped())
     total = np.sum(mag)
     if total == 0:
         return 0.0
-    return float(np.sum(mag.reshape(spec.shape)[mask]) / total)
+    mag[(inner,) * f.spec.d] = 0.0  # what is left is the shell
+    return float(np.sum(mag) / total)

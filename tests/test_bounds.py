@@ -16,7 +16,7 @@ from nfs.bounds import (
     sigma,
     sphere_measure,
 )
-from nfs.errors import BadDimension, ContractionViolated, NonPositiveInput
+from nfs.errors import AssumptionError, BadDimension, ContractionViolated, NonPositiveInput
 
 mp.mp.dps = 50
 
@@ -191,6 +191,18 @@ class TestEpsilonMax:
             epsilon_max(1.0, 1.0, 1.0, 1.0, 1.0, 4)
         with pytest.raises(NonPositiveInput):
             epsilon_max(0.0, 1.0, 1.0, 1.0, 1.0, 5)
+
+    def test_rejects_infinite_kernel_norm(self):
+        # kernel.amplitude = 1e300 squares to k_l2 = inf
+        with pytest.raises(NonPositiveInput, match="k_l2 must be positive and finite, got inf"):
+            epsilon_max(1.0, 1.0, 1.0, 1.0, np.inf, 5)
+        with pytest.raises(NonPositiveInput, match="k_l1"):
+            sigma(1.0, 1.0, np.inf, 1.0, 5)
+
+    def test_refusals_are_assumption_errors(self):
+        # so the CLI reports them as "assumption violated" with exit 3
+        assert issubclass(NonPositiveInput, AssumptionError)
+        assert issubclass(ContractionViolated, AssumptionError)
 
 
 class TestSigma:

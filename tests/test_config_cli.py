@@ -415,6 +415,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert gate in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("nonlinearity.coeffs = 1e308, 1e308", "g' has non-finite polynomial coefficients"),
+            ("source.amplitude = 1e300", "u0_h4 must be finite, got inf"),
+            ("kernel.amplitude = 1e-320", "k_l2 must be positive and finite, got 0.0"),
+            ("kernel.amplitude = 1e300", "k_l2 must be positive and finite, got inf"),
+            ("kernel.sigma = 1e-300", "field contains non-finite values"),
+        ],
+        ids=["coeffs-overflow", "source-overflow", "kernel-underflow", "kernel-overflow", "sigma-underflow"],
+    )
+    def test_number_out_of_float_range(self, line, named, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"grid.dimension = 5\ngrid.n = 8\ngrid.half_width = 12.566370614359172\n{line}\n")
+        assert run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+
     def _one_config_error(self, args, capsys):
         assert run_cli(args) == 2
         err = capsys.readouterr().err

@@ -58,6 +58,13 @@ class TestSolveLinear:
         with pytest.raises(NonDecayingSource):
             solve_linear(RealField(spec, np.ones(spec.size) + 0.1))
 
+    def test_reject_hint_names_config_key_and_parameter(self):
+        spec = GridSpec(2, 8, 1.0)
+        fh = forward_transform(RealField(spec, np.ones(spec.size)))
+        with pytest.raises(NonDecayingSource) as info:
+            solve_linear_full(fh)
+        assert str(info.value).endswith("use run.mean_policy = project, or project=True")
+
     def test_project_records_mean(self):
         spec = GridSpec(2, 8, np.pi)
         f = RealField(spec, axis_wave(spec, 1).values + 3.0)

@@ -166,3 +166,11 @@ class TestConstruction:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(NonconformingG):
             Nonlinearity(coeffs=[0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "coeffs, name", [([1e308, 1e308], "g'"), ([0.0, 4e307], "g''"), ([1.0, np.nan], "g")]
+    )
+    def test_non_finite_coefficients_rejected(self, coeffs, name):
+        # 2e308 z + 3e308 z^2 overflows in g', 6 * 4e307 z in g'' only; polyroots would fail on either
+        with pytest.raises(NonconformingG, match=f"^{name} has non-finite"):
+            Nonlinearity(coeffs=coeffs)

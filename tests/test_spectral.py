@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma
 
 from nfs import builders, spectral
-from nfs.errors import GridMismatch, NFSError
+from nfs.errors import GridMismatch, MassLeakage, NFSError
 from nfs.grid import GridSpec, RealField, SpectralField, read_field, write_field
 from nfs.spectral import (
     convolve,
@@ -255,6 +255,53 @@ class TestNorms:
         lhs = forward_transform(combo).coeffs
         rhs = lam * forward_transform(a).coeffs + forward_transform(b).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
+
+
+def shell_fraction_by_mask(f: RealField) -> float:
+    """The shell fraction from an explicit boolean mask of the points with any |x_i| >= 0.9 L."""
+    spec = f.spec
+    outer = np.abs(spec.axis_coords()) >= (1.0 - spectral.SHELL) * spec.half_width
+    mask = np.zeros(spec.shape, dtype=bool)
+    for axis in range(spec.d):
+        shape = [1] * spec.d
+        shape[axis] = spec.n
+        mask |= outer.reshape(shape)
+    mag = np.abs(f.values)
+    return float(np.sum(mag.reshape(spec.shape)[mask]) / np.sum(mag))
+
+
+SHELL_GRIDS = [(2, 16), (3, 16), (4, 8), (5, 8), (6, 8), (7, 4)]
+
+
+class TestOuterShellMassFraction:
+    @pytest.mark.parametrize("d, n", SHELL_GRIDS)
+    def test_random_field_matches_mask(self, d, n):
+        spec = GridSpec(d, n, 2.5)
+        f = RealField(spec, np.random.default_rng(d).normal(size=spec.size))
+        want = shell_fraction_by_mask(f)
+        assert spectral.outer_shell_mass_fraction(f) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("d, n", SHELL_GRIDS)
+    def test_gaussian_matches_mask(self, d, n):
+        spec = GridSpec(d, n, 4.0 * np.pi)
+        f = RealField(spec, builders._gaussian_hump(spec, np.full(d, 0.3), 1.5))
+        want = shell_fraction_by_mask(f)
+        assert 0.0 < want < builders.SHELL_MASS_LIMIT
+        assert spectral.outer_shell_mass_fraction(f) == pytest.approx(want, rel=1e-15)
+
+    def test_corner_mass_above_limit(self):
+        spec = GridSpec(5, 8, 4.0 * np.pi)
+        values = builders._gaussian_hump(spec, np.zeros(5), 1.0)
+        values[0] = 1e-3 * np.sum(values)  # the corner x = (-L, ..., -L)
+        f = RealField(spec, values)
+        got = spectral.outer_shell_mass_fraction(f)
+        assert got == pytest.approx(shell_fraction_by_mask(f), rel=1e-15)
+        assert got > builders.SHELL_MASS_LIMIT
+        with pytest.raises(MassLeakage):
+            builders.check_gates(f, "kernel")
+
+    def test_zero_field(self):
+        assert spectral.outer_shell_mass_fraction(RealField(GridSpec(2, 8, 1.0), np.zeros(64))) == 0.0
 
 
 class TestFieldDump:
