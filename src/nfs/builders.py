@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
-from .errors import MassLeakage, TrivialField
+from .errors import MassLeakage, NonPositiveInput, TrivialField
 from .grid import GridSpec, RealField
 
 SHELL_MASS_LIMIT = 1e-6
@@ -45,6 +45,8 @@ def build_gaussian_kernel(
     """Radial Gaussian A exp(-|x|^2 / (2 s^2)) centered at the origin."""
     if amplitude == 0.0:
         raise TrivialField("kernel amplitude is zero")
+    if not 0.0 < 2.0 * sigma * sigma < np.inf:  # 2 sigma^2 underflows to 0 or overflows
+        raise NonPositiveInput(f"kernel.sigma = {sigma}: 2 sigma^2 must be positive and finite")
     center = np.zeros(grid.d)
     values = amplitude * _gaussian_hump(grid, center, sigma)
     f = RealField(grid, values)
@@ -65,6 +67,8 @@ def build_gaussian_diff_source(
     """
     if amplitude == 0.0:
         raise TrivialField("source amplitude is zero")
+    if not all(0.0 < 2.0 * w * w < np.inf for w in widths):
+        raise NonPositiveInput(f"source.widths = {widths}: 2 w^2 must be positive and finite")
     c1 = np.zeros(grid.d)
     c1[0] = centers[0]
     c2 = np.zeros(grid.d)

@@ -40,7 +40,7 @@ class ContractionViolated(AssumptionError):
 
 
 class NonconformingG(AssumptionError):
-    """Nonlinearity fails g(0) = 0 or g'(0) = 0."""
+    """The polynomial g is identically zero or has non-finite coefficients."""
 
 
 class IntervalExceeded(AssumptionError):

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
-from .errors import DegeneratePair, Diverged, NotConverged, OutsideBall
+from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch,
+                     NotConverged, OutsideBall, TrivialField)
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
 from .linear import solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
@@ -56,13 +57,13 @@ class ProblemSpec:
     def __post_init__(self):
         check_same_grid(self.kernel, self.source)
         if self.kernel.spec != self.grid:
-            raise ValueError("kernel grid differs from problem grid")
+            raise GridMismatch(f"kernel grid {self.kernel.spec} differs from problem grid {self.grid}")
         if not (0.0 < self.rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
+            raise ConfigError(f"rho must lie in (0, 1], got {self.rho}")
         if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not np.any(self.kernel.values) or not np.any(self.source.values):
-            raise ValueError("kernel and source must be nontrivial")
+            raise TrivialField("kernel and source must be nontrivial")
         self.lattice = spectral.half_lattice(self.grid)
         kh = spectral.forward_transform(self.kernel).coeffs
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
@@ -182,6 +183,8 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         prev = trace.step_h4[-1] if trace.step_h4 else None
         step = _h4(grid, vh_next - vh)
         v_h4 = _h4(grid, vh_next)
+        if not np.isfinite(v_h4):  # inf <= tol_fp * inf would pass as converged
+            raise Diverged(f"iterate {len(trace.step_h4)} has ||v||_H4 = {v_h4}")
         trace.iterate_h4.append(v_h4)
         trace.step_h4.append(step)
         trace.ratio.append(step / prev if prev else float("nan"))
@@ -318,11 +321,11 @@ def continuity_experiment(
     caller is responsible for assembling it with max(M1, M2).
     """
     if ps1.epsilon != ps2.epsilon:
-        raise ValueError("continuity experiment needs a shared epsilon")
+        raise AssumptionError("continuity experiment needs a shared epsilon")
     check_same_grid(ps1.kernel, ps2.kernel)
     snapshot = ps1.bounds
     if snapshot is None:
-        raise ValueError("continuity experiment needs a bounds snapshot")
+        raise AssumptionError("continuity experiment needs a bounds snapshot")
     u1 = solve_fixed_point(ps1).u  # the rest of the first report is freed before the second solve
     u2 = solve_fixed_point(ps2).u
     measured = spectral.norm_h4(RealField(ps1.grid, u1.values - u2.values))

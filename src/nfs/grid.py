@@ -145,4 +145,7 @@ def read_field(path: str) -> RealField:
         length = fh.readinto(values) + len(fh.read())
         if length != spec.size * 8:
             raise ConfigError(f"payload length {length} != expected {spec.size * 8} in {path}")
-    return RealField(spec, values)
+    try:
+        return RealField(spec, values)
+    except NFSError as exc:  # a NaN or inf sample
+        raise ConfigError(f"{exc} in {path}") from None

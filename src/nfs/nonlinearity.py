@@ -1,25 +1,22 @@
-"""Nonlinearities g with two derivatives, the certified interval, and C2 norms.
+"""Polynomial nonlinearities g, the certified interval, and C2 norms.
 
-The blessed representation is a polynomial g(z) = sum_{j >= 2} a_j z^j, for
-which suprema over an interval are computed exactly from the critical points
-(companion-matrix roots of the next derivative). Arbitrary callables with
-supplied first and second derivatives are supported through dense sampling.
+g(z) = sum_{j >= 2} a_j z^j, so g(0) = g'(0) = 0 holds by construction. Its
+suprema over an interval are computed exactly from the critical points
+(companion-matrix roots of the next derivative).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import IntervalExceeded, NonconformingG
+from .errors import AssumptionError, IntervalExceeded, NonconformingG
 from .grid import RealField, check_same_grid
 
-ORIGIN_TOL = 1e-14
 INTERVAL_SLACK = 1e-9
-MIN_SAMPLES_PER_UNIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -31,11 +28,7 @@ class IntervalI:
 
     def __post_init__(self):
         if self.lower != -self.upper or not (self.upper > 0):
-            raise ValueError(f"interval must be symmetric about 0: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
+            raise AssumptionError(f"interval must be symmetric about 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -63,48 +56,21 @@ def _coeff_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Nonlinearity:
-    """g with evaluators g, g1 = g', g2 = g''; vanishing value and slope at 0.
+    """g with evaluators g, g1 = g', g2 = g''; `coeffs` are those of z^2, z^3, ..."""
 
-    A polynomial keeps its coefficients (`coeffs` of z^2, z^3, ...); a
-    callable g has `coeffs = None`.
-    """
-
-    def __init__(
-        self,
-        coeffs: Optional[Sequence[float]] = None,
-        funcs: Optional[tuple[Callable, Callable, Callable]] = None,
-    ):
-        if (coeffs is None) == (funcs is None):
-            raise ValueError("provide exactly one of coeffs or funcs")
-        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=np.float64)
-        if self.coeffs is not None:
-            if self.coeffs.size == 0 or not np.any(self.coeffs):
-                raise NonconformingG("polynomial must not be identically zero")
-            # full ascending coefficient arrays of g, g', g'', degrees 0..J
-            self._asc = np.concatenate([[0.0, 0.0], self.coeffs])
-            with np.errstate(over="ignore"):  # an overflow is refused below, by name
-                self._asc1 = np.polynomial.polynomial.polyder(self._asc)
-                self._asc2 = np.polynomial.polynomial.polyder(self._asc, 2)
-            for name, asc in (("g", self._asc), ("g'", self._asc1), ("g''", self._asc2)):
-                if not np.all(np.isfinite(asc)):
-                    raise NonconformingG(f"{name} has non-finite polynomial coefficients")
-            funcs = tuple(partial(_horner, asc) for asc in (self._asc, self._asc1, self._asc2))
-        self.g, self.g1, self.g2 = funcs
-        for name, val in (("g(0)", self.g(0.0)), ("g'(0)", self.g1(0.0))):
-            if abs(val) > ORIGIN_TOL:
-                raise NonconformingG(f"{name} = {val} violates the origin condition")
-
-    def minus(self, other: "Nonlinearity") -> "Nonlinearity":
-        """Difference g - other; exact for two distinct polynomials."""
-        if self.coeffs is not None and other.coeffs is not None:
-            return Nonlinearity(coeffs=_coeff_diff(self.coeffs, other.coeffs))
-        return Nonlinearity(
-            funcs=(
-                lambda z: np.asarray(self.g(z)) - np.asarray(other.g(z)),
-                lambda z: np.asarray(self.g1(z)) - np.asarray(other.g1(z)),
-                lambda z: np.asarray(self.g2(z)) - np.asarray(other.g2(z)),
-            )
-        )
+    def __init__(self, coeffs: Sequence[float]):
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        if self.coeffs.size == 0 or not np.any(self.coeffs):
+            raise NonconformingG("polynomial must not be identically zero")
+        # full ascending coefficient arrays of g, g', g'', degrees 0..J
+        self._asc = np.concatenate([[0.0, 0.0], self.coeffs])
+        with np.errstate(over="ignore"):  # an overflow is refused below, by name
+            self._asc1 = np.polynomial.polynomial.polyder(self._asc)
+            self._asc2 = np.polynomial.polynomial.polyder(self._asc, 2)
+        for name, asc in (("g", self._asc), ("g'", self._asc1), ("g''", self._asc2)):
+            if not np.all(np.isfinite(asc)):
+                raise NonconformingG(f"{name} has non-finite polynomial coefficients")
+        self.g, self.g1, self.g2 = (partial(_horner, asc) for asc in (self._asc, self._asc1, self._asc2))
 
 
 def build_interval(u0_h4: float, c_e: float) -> IntervalI:
@@ -128,29 +94,13 @@ def _poly_sup(asc: np.ndarray, asc_der: np.ndarray, interval: IntervalI) -> floa
     return float(np.max(np.abs(vals)))
 
 
-def _sampled_sup(fn, interval: IntervalI, samples: int) -> float:
-    z = np.linspace(interval.lower, interval.upper, samples)
-    return float(np.max(np.abs(np.asarray(fn(z)))))
-
-
 def c2_norm(g: Nonlinearity, interval: IntervalI) -> C2Report:
-    """Suprema of |g|, |g'|, |g''| over the interval and their sum.
-
-    Exact for polynomials; callables are sampled densely (an odd number of
-    points, at least 1001 and 10^4 per unit length).
-    """
-    if g.coeffs is not None:
-        asc3 = np.polynomial.polynomial.polyder(g._asc2)
-        sup_g = _poly_sup(g._asc, g._asc1, interval)
-        sup_g1 = _poly_sup(g._asc1, g._asc2, interval)
-        sup_g2 = _poly_sup(g._asc2, asc3, interval)
-    else:
-        samples = max(1001, int(MIN_SAMPLES_PER_UNIT * interval.width) | 1)
-        sup_g = _sampled_sup(g.g, interval, samples)
-        sup_g1 = _sampled_sup(g.g1, interval, samples)
-        sup_g2 = _sampled_sup(g.g2, interval, samples)
-    total = sup_g + sup_g1 + sup_g2
-    return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=total)
+    """Exact suprema of |g|, |g'|, |g''| over the interval and their sum."""
+    asc3 = np.polynomial.polynomial.polyder(g._asc2)
+    sup_g = _poly_sup(g._asc, g._asc1, interval)
+    sup_g1 = _poly_sup(g._asc1, g._asc2, interval)
+    sup_g2 = _poly_sup(g._asc2, asc3, interval)
+    return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=sup_g + sup_g1 + sup_g2)
 
 
 def compose(
@@ -179,7 +129,5 @@ def compose(
 
 def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:
     """C2 norm of g1 - g2 over the interval; 0 for equal polynomials."""
-    if g1.coeffs is not None and g2.coeffs is not None:
-        if not np.any(_coeff_diff(g1.coeffs, g2.coeffs)):
-            return 0.0
-    return c2_norm(g1.minus(g2), interval).c2_norm
+    diff = _coeff_diff(g1.coeffs, g2.coeffs)
+    return c2_norm(Nonlinearity(diff), interval).c2_norm if np.any(diff) else 0.0

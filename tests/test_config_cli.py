@@ -350,6 +350,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "truncated" in err and err.count("\n") == 1
 
+    def test_non_finite_field_sample(self, tmp_path, capsys):
+        path = tmp_path / "nan.nfs1"
+        write_field(str(path), builders.build_gaussian_kernel(GridSpec(5, 8, 12.566370614359172), 1.0, 1.0))
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())  # the last sample
+        assert self._solve_with_kernel_file(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: field contains non-finite values in {path}\n"
+
     def test_grid_over_memory_budget(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"
         p.write_text("grid.dimension = 5\ngrid.n = 1024\n")
@@ -422,9 +430,12 @@ class TestCli:
             ("source.amplitude = 1e300", "u0_h4 must be finite, got inf"),
             ("kernel.amplitude = 1e-320", "k_l2 must be positive and finite, got 0.0"),
             ("kernel.amplitude = 1e300", "k_l2 must be positive and finite, got inf"),
-            ("kernel.sigma = 1e-300", "field contains non-finite values"),
+            ("kernel.sigma = 1e-300", "kernel.sigma = 1e-300: 2 sigma^2 must be positive and finite"),
+            ("kernel.sigma = 1e300", "kernel.sigma = 1e+300: 2 sigma^2 must be positive and finite"),
+            ("source.widths = 1e300, 1e300", "source.widths = (1e+300, 1e+300): 2 w^2 must be positive"),
         ],
-        ids=["coeffs-overflow", "source-overflow", "kernel-underflow", "kernel-overflow", "sigma-underflow"],
+        ids=["coeffs-overflow", "source-overflow", "kernel-underflow", "kernel-overflow", "sigma-underflow",
+             "sigma-overflow", "widths-overflow"],
     )
     def test_number_out_of_float_range(self, line, named, tmp_path, capsys):
         p = tmp_path / "run.cfg"
@@ -433,6 +444,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert named in err and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "epsilon, code, first",
+        [("1e300", 4, "iteration failed: iterate 0 has ||v||_H4 = inf"), ("1e10", 3, "assumption violated: ||v||_H4 = ")],
+        ids=["infinite-iterate", "outside-ball"],
+    )
+    def test_huge_epsilon_never_converges(self, epsilon, code, first, tmp_path, capsys):
+        # at 1e300 the step and ||v||_H4 are both inf; inf <= tol_fp * inf must not read as converged
+        p = tmp_path / "run.cfg"
+        p.write_text(f"grid.dimension = 5\ngrid.n = 8\ngrid.half_width = 12.566370614359172\nrun.epsilon = {epsilon}\n")
+        assert run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(first) and err.count("\n") == 1
 
     def _one_config_error(self, args, capsys):
         assert run_cli(args) == 2

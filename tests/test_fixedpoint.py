@@ -22,7 +22,8 @@ from nfs.fixedpoint import (
 )
 from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
-from nfs.errors import IntervalExceeded, NonPositiveInput
+from nfs.errors import (AssumptionError, ConfigError, GridMismatch, IntervalExceeded, NonPositiveInput,
+                        TrivialField)
 from nfs.nonlinearity import IntervalI, Nonlinearity
 from nfs.spectral import norm_h4, norm_l2
 
@@ -37,6 +38,36 @@ def small_problem(epsilon: float, g=None) -> ProblemSpec:
     if g is None:
         g = Nonlinearity(coeffs=[1.0])
     return ProblemSpec(grid=gs, kernel=kernel, source=source, g=g, epsilon=epsilon)
+
+
+def _problem_spec(**changes) -> ProblemSpec:
+    ps = small_problem(0.5)
+    args = dict(grid=ps.grid, kernel=ps.kernel, source=ps.source, g=ps.g, epsilon=ps.epsilon)
+    return ProblemSpec(**{**args, **changes})
+
+
+def _continuity(**changes):
+    ps = small_problem(0.5)
+    return continuity_experiment(ps, dataclasses.replace(ps, **changes))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: _problem_spec(grid=GridSpec(2, 16, 2 * np.pi)), GridMismatch, "differs from problem grid"),
+        (lambda: _problem_spec(rho=1.5), ConfigError, r"rho must lie in \(0, 1\], got 1.5"),
+        (lambda: _problem_spec(epsilon=-1.0), ConfigError, "epsilon must be nonnegative, got -1.0"),
+        (lambda: _problem_spec(source=zeros_like(GridSpec(2, 8, 2 * np.pi))), TrivialField, "nontrivial"),
+        (lambda: IntervalI(-1.0, 2.0), AssumptionError, "symmetric about 0"),
+        (lambda: _continuity(epsilon=0.25), AssumptionError, "shared epsilon"),
+        (lambda: _continuity(), AssumptionError, "bounds snapshot"),
+    ],
+    ids=["kernel-grid", "rho", "epsilon", "trivial-source", "asymmetric-interval", "unshared-epsilon",
+         "no-snapshot"],
+)
+def test_bad_arguments_raise_package_errors(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestApplyTg:
@@ -231,8 +262,9 @@ class TestMeasureContraction:
             measure_contraction(ps, trials=2, seed=1, u0=standard_scenario.u0)
 
     def test_equal_compositions_give_zero_ratio(self, standard_scenario):
-        zero = (np.zeros_like,) * 3
-        ps = dataclasses.replace(standard_scenario.ps, g=Nonlinearity(funcs=zero))
+        g = Nonlinearity(coeffs=[1.0])
+        g.g = np.zeros_like  # both compositions vanish, so the solve meets an all-zero spectrum
+        ps = dataclasses.replace(standard_scenario.ps, g=g)
         stats = measure_contraction(ps, trials=3, seed=4, u0=standard_scenario.u0)
         assert stats.ratios == [0.0, 0.0, 0.0]
 

@@ -67,15 +67,6 @@ class TestC2Norm:
             sampled = dense_sampling_c2(g, interval)
             assert exact == pytest.approx(sampled, rel=1e-9)
 
-    def test_callable_path(self):
-        g = Nonlinearity(funcs=(lambda z: 1.0 - np.cos(z), np.sin, np.cos))
-        with pytest.raises(NonconformingG):
-            Nonlinearity(funcs=(np.cos, np.sin, np.cos))
-        rep = c2_norm(g, UNIT)
-        # on [-1, 1]: sup(1 - cos) = 1 - cos(1), sup sin = sin(1), sup cos = 1
-        expected = (1.0 - np.cos(1.0)) + np.sin(1.0) + 1.0
-        assert rep.c2_norm == pytest.approx(expected, rel=1e-6)
-
     def test_scaling_exact(self):
         g = Nonlinearity(coeffs=[1.5, -0.25, 0.75])
         lam = 3.0
@@ -145,7 +136,7 @@ class TestC2Distance:
         g1 = Nonlinearity(coeffs=rng.uniform(-1, 1, 3))
         g2 = Nonlinearity(coeffs=rng.uniform(-1, 1, 3))
         got = c2_distance(g1, g2, UNIT)
-        want = dense_sampling_c2(g1.minus(g2), UNIT)
+        want = dense_sampling_c2(Nonlinearity(g1.coeffs - g2.coeffs), UNIT)
         assert got == pytest.approx(want, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -159,9 +150,11 @@ class TestC2Distance:
 
 
 class TestConstruction:
-    def test_origin_conditions_enforced(self):
-        with pytest.raises(NonconformingG):
-            Nonlinearity(funcs=(lambda z: z, lambda z: 1.0, lambda z: 0.0))
+    @settings(max_examples=50, deadline=None)
+    @given(coeff_lists)
+    def test_origin_conditions_enforced(self, coeffs):
+        g = Nonlinearity(coeffs=coeffs)
+        assert g.g(0.0) == 0.0 and g.g1(0.0) == 0.0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(NonconformingG):

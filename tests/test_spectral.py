@@ -323,10 +323,8 @@ class TestFieldDump:
 
     def test_rejects_short_payload(self, tmp_path):
         spec = GridSpec(1, 4, 1.0)
-        path = str(tmp_path / "f.nfs1")
-        write_field(path, RealField(spec, np.ones(4)))
-        data = open(path, "rb").read()
-        with open(path, "wb") as fh:
-            fh.write(data[:-8])
+        path = tmp_path / "f.nfs1"
+        write_field(str(path), RealField(spec, np.ones(4)))
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(NFSError, match="length"):
-            read_field(path)
+            read_field(str(path))
