@@ -9,14 +9,12 @@ bound on the solution's sensitivity to the nonlinearity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import BadDimension, ContractionViolated, NonPositiveInput
-
-QUAD_POINTS = 400  # Gauss-Legendre nodes of the radial integral
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ def sphere_measure(d: int) -> float:
     """Surface measure 2 pi^(d/2) / Gamma(d/2) of the unit sphere in R^d."""
     if d < 1:
         raise BadDimension(f"d must be >= 1, got {d}")
-    return float(2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0))
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def minimize_phi(alpha: float, d: int) -> PhiResult:
@@ -62,20 +60,13 @@ def minimize_phi(alpha: float, d: int) -> PhiResult:
 
 
 def radial_embedding_integral(d: int) -> float:
-    """integral_0^inf r^(d-1) (1 + r^4)^(-2) dr by QUAD_POINTS-node Gauss-Legendre quadrature.
+    """integral_0^inf r^(d-1) (1 + r^4)^(-2) dr = (1/4) B(d/4, 2 - d/4), finite for d < 8.
 
-    Mapped to (0, 1) via r = t/(1-t); converges for d < 8. Closed form for
-    cross-checks: (1/4) B(d/4, 2 - d/4).
+    B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), and Gamma(2) = 1.
     """
     if not (1 <= d <= 7):
         raise BadDimension(f"radial integral restricted to 1 <= d <= 7, got {d}")
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    r = t / (1.0 - t)
-    jac = 1.0 / (1.0 - t) ** 2
-    integrand = r ** (d - 1) / (1.0 + r**4) ** 2 * jac
-    return float(np.sum(w * integrand))
+    return 0.25 * math.gamma(d / 4.0) * math.gamma(2.0 - d / 4.0)
 
 
 def embedding_constant(d: int) -> float:

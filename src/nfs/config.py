@@ -18,6 +18,18 @@ KERNEL_TYPES = ("gaussian", "file")
 SOURCE_TYPES = ("gaussian-diff", "file")
 
 
+def check_grid(d: int, n: int, half_width: float) -> None:
+    """Refuse a box outside the supported range, before anything is sized from it."""
+    if not (1 <= d <= 7):
+        raise ConfigError(f"dimension must lie in [1, 7], got {d}")
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ConfigError(f"n must be a power of two >= 4, got {n}")
+    if not (half_width > 0):
+        raise ConfigError(f"half_width must be positive, got {half_width}")
+    if not math.isfinite(2.0 * half_width):
+        raise ConfigError(f"half_width = {half_width!r}: the period 2*half_width is not finite")
+
+
 @dataclass
 class KernelConfig:
     type: str = "gaussian"
@@ -56,12 +68,7 @@ class RunConfig:
     coeffs2: tuple[float, ...] | None = None
 
     def validate(self) -> None:
-        if not (1 <= self.dimension <= 7):
-            raise ConfigError(f"dimension must lie in [1, 7], got {self.dimension}")
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"n must be a power of two >= 4, got {self.n}")
-        if not (self.half_width > 0):
-            raise ConfigError(f"half_width must be positive, got {self.half_width}")
+        check_grid(self.dimension, self.n, self.half_width)
         if self.epsilon is not None and self.epsilon < 0:
             raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.rho <= 1.0):

@@ -88,7 +88,6 @@ class SolveReport:
     u_p: RealField
     u: RealField
     trace: IterationTrace
-    bounds: Optional[BoundsSnapshot]
     converged: bool
     guarantee: str  # "certified" or "uncertified"
 
@@ -209,7 +208,6 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         u_p=v,
         u=u,
         trace=trace,
-        bounds=ps.bounds,
         converged=True,
         guarantee="certified" if ps.certified else "uncertified",
     )
@@ -283,6 +281,10 @@ def measure_contraction(
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
     """
     grid, rng = ps.grid, np.random.default_rng(seed)
+    # Freeing 8 real fields raises glibc's dynamic mmap threshold (only blocks up to 32 MB move it), and
+    # the trim threshold (twice it), above one pair's temporaries: these are then reused on the heap, not
+    # mapped, faulted in and unmapped per pair (about 250 minor faults per pair at d5n8 otherwise).
+    np.empty(min(8 * grid.size, 1 << 21))
     ratios: list[float] = []
     distances: list[float] = []
     while len(ratios) < trials:

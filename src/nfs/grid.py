@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_grid
 from .errors import ConfigError, GridMismatch, NFSError
 
 MAGIC = b"NFS1"
@@ -38,12 +39,7 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.d}")
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"n must be a power of two >= 4, got {self.n}")
-        if not (self.half_width > 0):
-            raise ConfigError(f"half_width must be positive, got {self.half_width}")
+        check_grid(self.d, self.n, self.half_width)  # before size computes n**d
         if self.size * 8 > memory_budget_mb() * 2**20:
             raise ConfigError(
                 f"grid of {self.size} points exceeds the memory budget "
@@ -132,7 +128,7 @@ def write_field(path: str, f: RealField) -> None:
 
 
 def read_field(path: str) -> RealField:
-    """Read an NFS1 dump; a malformed file is a configuration error."""
+    """Read an NFS1 dump; a malformed file is a configuration error that names the file."""
     with open(path, "rb") as fh:
         header = fh.read(HEADER.size)
         if len(header) != HEADER.size:
@@ -140,7 +136,10 @@ def read_field(path: str) -> RealField:
         magic, d, n, half_width = HEADER.unpack(header)
         if magic != MAGIC:
             raise ConfigError(f"bad magic {magic!r} in {path}")
-        spec = GridSpec(d, n, half_width)
+        try:
+            spec = GridSpec(d, n, half_width)
+        except ConfigError as exc:  # a grid no config could state, or one over the memory budget
+            raise ConfigError(f"{exc} in {path}") from None
         values = np.empty(spec.size, dtype="<f8")
         length = fh.readinto(values) + len(fh.read())
         if length != spec.size * 8:

@@ -3,7 +3,6 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import beta
 
 from nfs.bounds import (
     BoundsSnapshot,
@@ -95,16 +94,36 @@ class TestMinimizePhi:
             minimize_phi(1.0, 4)
 
 
+def beta_quarter(d: int):
+    """(1/4) B(d/4, 2 - d/4), the radial integral, at 50 digits."""
+    return mp.beta(mp.mpf(d) / 4, 2 - mp.mpf(d) / 4) / 4
+
+
+def relative_error(x: float, exact) -> float:
+    return float(abs(mp.mpf(x) - exact) / exact)
+
+
 class TestEmbeddingConstant:
     def test_radial_integral_beta_closed_form_d5(self):
-        closed = 0.25 * beta(5 / 4, 3 / 4)
-        assert closed == pytest.approx(0.27768, abs=5e-6)
-        assert radial_embedding_integral(5) == pytest.approx(closed, rel=1e-10)
+        assert float(beta_quarter(5)) == pytest.approx(0.27768, abs=5e-6)
+        assert relative_error(radial_embedding_integral(5), beta_quarter(5)) <= 1e-15
 
     def test_radial_integral_beta_closed_form_d6_d7(self):
         for d in (6, 7):
-            closed = 0.25 * beta(d / 4, 2 - d / 4)
-            assert radial_embedding_integral(d) == pytest.approx(closed, rel=1e-9)
+            assert relative_error(radial_embedding_integral(d), beta_quarter(d)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_radial_integral_beta_closed_form_low_d(self, d):
+        assert relative_error(radial_embedding_integral(d), beta_quarter(d)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_at_or_above_its_exact_value(self, d):
+        """c_e bounds ||u||_inf from above, so its rounding must not fall below the exact value."""
+        half = mp.mpf(d) / 2
+        sphere = 2 * mp.pi**half / mp.gamma(half)
+        exact = mp.sqrt(2) * (2 * mp.pi) ** (-half) * mp.sqrt(sphere * beta_quarter(d))
+        assert mp.mpf(embedding_constant(d)) >= exact
+        assert relative_error(embedding_constant(d), exact) <= 1e-15
 
     def test_value_d5(self):
         assert embedding_constant(5) == pytest.approx(0.0386, abs=5e-5)

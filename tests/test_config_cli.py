@@ -3,19 +3,22 @@ commands end to end."""
 
 import dataclasses
 import os
+import sys
+import tempfile
 import tracemalloc
 from operator import attrgetter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfs import builders, cli
 from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
-from nfs.grid import GridSpec, RealField, read_field, write_field
+from nfs.grid import HEADER, MAGIC, GridSpec, RealField, read_field, write_field
 from nfs.linear import SequenceReport
 from nfs.nonlinearity import Nonlinearity
 from nfs.spectral import norm_l1
@@ -42,7 +45,7 @@ def _type(section, builtin):
 VALUES = {
     "grid.dimension": st.integers(1, 7).map(str),
     "grid.n": st.sampled_from(["4", "8", "16", "1024"]),
-    "grid.half_width": _POSITIVE,
+    "grid.half_width": _numbers(min_value=0.0, max_value=sys.float_info.max / 2, exclude_min=True).map(repr),
     "run.epsilon": st.one_of(st.just("auto"), _numbers(min_value=0.0).map(repr)),
     "run.rho": _numbers(min_value=0.0, max_value=1.0, exclude_min=True).map(repr),
     "run.tol_fp": _POSITIVE,
@@ -65,6 +68,45 @@ VALUES = {
     "nonlinearity.coeffs": st.lists(_numbers(), min_size=1, max_size=5).filter(any).map(_listed),
     "nonlinearity.coeffs2": st.lists(_numbers(), min_size=1, max_size=5).map(_listed),
 }
+
+
+# any value, as config text: numbers of every size, the words the table knows, and noise
+ANY_VALUE = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["auto", "file", "reject", "project", "gaussian", "gaussian-diff", "1e308", "9" * 5000]),
+)
+ANY_LINE = st.one_of(
+    st.text(),
+    st.tuples(st.one_of(st.sampled_from(sorted(VALUES)), st.text(max_size=8)), ANY_VALUE).map(" = ".join),
+    st.sampled_from(sorted(VALUES)).flatmap(lambda k: VALUES[k].map(lambda v: f"{k} = {v}")),
+)
+
+# well-formed small NFS1 files, to be mutated
+VALID_NFS1 = [HEADER.pack(MAGIC, d, n, 1.5) + np.ones(n**d, "<f8").tobytes() for d, n in ((1, 4), (2, 4), (3, 8))]
+
+
+def _mutate(data: bytes, writes: list[tuple[int, int]], length: int) -> bytes:
+    out = bytearray(data)
+    for i, byte in writes:
+        out[i % len(out)] = byte
+    return bytes(out[:length] + b"\0" * (length - len(out)))
+
+
+NFS1_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.tuples(
+        st.builds(HEADER.pack, st.sampled_from([MAGIC, b"NFS0"]), *[st.integers(0, 2**32 - 1)] * 2, st.floats()),
+        st.binary(max_size=64),
+    ).map(b"".join),
+    st.builds(
+        _mutate,
+        st.sampled_from(VALID_NFS1),
+        st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=4),
+        st.integers(0, 4200),
+    ),
+)
 
 
 class TestParseConfig:
@@ -149,6 +191,33 @@ class TestParseConfig:
     def test_file_type_needs_a_path(self, part):
         with pytest.raises(ConfigError, match=f"{part}.type = file needs {part}.file"):
             parse_config(f"{part}.type = file")
+
+
+class TestFuzz:
+    """Any input is read or refused as a configuration error, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_LINE, max_size=6).map("\n".join))
+    def test_any_config_text(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(NFS1_BYTES)
+    @example(HEADER.pack(MAGIC, 10**6, 4, 1.0))  # n**d used to take seconds, then fail to print
+    @example(HEADER.pack(MAGIC, 2**32 - 1, 4, 1.0))
+    def test_any_field_file(self, data):
+        # a small budget keeps a header's payload allocation small; the gate is the budget's
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"NFS_MEMORY_BUDGET_MB": "64"}):
+            path = os.path.join(tmp, "f.nfs1")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                read_field(path)
+            except ConfigError:
+                pass
 
 
 class TestBuilders:
@@ -350,6 +419,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "truncated" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "d, n, half_width, named",
+        [(10**6, 4, 1.0, "dimension must lie in [1, 7], got 1000000"),
+         (2**32 - 1, 4, 1.0, "dimension must lie in [1, 7], got 4294967295"),
+         (5, 8, np.inf, "half_width = inf: the period 2*half_width is not finite")],
+        ids=["huge-d", "max-d", "infinite-half-width"],
+    )
+    def test_field_header_out_of_range(self, d, n, half_width, named, tmp_path, capsys):
+        # n**d for such a header took seconds, then failed to format the memory message (exit 1)
+        path = tmp_path / "k.nfs1"
+        path.write_bytes(HEADER.pack(MAGIC, d, n, half_width))
+        assert self._solve_with_kernel_file(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {named} in {path}\n"
+
     def test_non_finite_field_sample(self, tmp_path, capsys):
         path = tmp_path / "nan.nfs1"
         write_field(str(path), builders.build_gaussian_kernel(GridSpec(5, 8, 12.566370614359172), 1.0, 1.0))
@@ -433,14 +517,16 @@ class TestCli:
             ("kernel.sigma = 1e-300", "kernel.sigma = 1e-300: 2 sigma^2 must be positive and finite"),
             ("kernel.sigma = 1e300", "kernel.sigma = 1e+300: 2 sigma^2 must be positive and finite"),
             ("source.widths = 1e300, 1e300", "source.widths = (1e+300, 1e+300): 2 w^2 must be positive"),
+            ("grid.half_width = 1e308", "config error: half_width = 1e+308: the period 2*half_width is not finite"),
         ],
         ids=["coeffs-overflow", "source-overflow", "kernel-underflow", "kernel-overflow", "sigma-underflow",
-             "sigma-overflow", "widths-overflow"],
+             "sigma-overflow", "widths-overflow", "half-width-overflow"],
     )
     def test_number_out_of_float_range(self, line, named, tmp_path, capsys):
         p = tmp_path / "run.cfg"
         p.write_text(f"grid.dimension = 5\ngrid.n = 8\ngrid.half_width = 12.566370614359172\n{line}\n")
-        assert run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+        code = 2 if line.startswith("grid.") else 3  # a box that cannot be sampled is a config error
+        assert run_cli(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert named in err and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
