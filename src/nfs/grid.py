@@ -7,6 +7,7 @@ lattice carries frequencies p_k = (pi/L) k with k in [-n/2, n/2)^d.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -140,8 +141,12 @@ def read_field(path: str) -> RealField:
             spec = GridSpec(d, n, half_width)
         except ConfigError as exc:  # a grid no config could state, or one over the memory budget
             raise ConfigError(f"{exc} in {path}") from None
-        values = np.empty(spec.size, dtype="<f8")
-        length = fh.readinto(values) + len(fh.read())
+        info = os.fstat(fh.fileno())
+        length = info.st_size - HEADER.size
+        # a regular file of the wrong length is refused before its payload is allocated
+        if length == spec.size * 8 or not stat.S_ISREG(info.st_mode):
+            values = np.empty(spec.size, dtype="<f8")
+            length = fh.readinto(values) + len(fh.read())
         if length != spec.size * 8:
             raise ConfigError(f"payload length {length} != expected {spec.size * 8} in {path}")
     try:

@@ -1,7 +1,9 @@
 """Config parsing, field builders, polynomial evaluation, and the CLI
 commands end to end."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import sys
 import tempfile
@@ -107,6 +109,22 @@ NFS1_BYTES = st.one_of(
         st.integers(0, 4200),
     ),
 )
+
+# the d5n8 grid the CLI property runs on, and well-formed field files for it, to be mutated
+CLI_GRID = "grid.dimension = 5\ngrid.n = 8\ngrid.half_width = 12.566370614359172\n"
+_GS = GridSpec(5, 8, 12.566370614359172)
+VALID_D5N8 = {
+    part: HEADER.pack(MAGIC, 5, 8, _GS.half_width) + f.values.astype("<f8").tobytes()
+    for part, f in (("kernel", builders.build_gaussian_kernel(_GS, 1.0, 1.0)),
+                    ("source", builders.build_gaussian_diff_source(_GS)))
+}
+
+
+def _field_file_for(part: str):
+    valid = VALID_D5N8[part]
+    writes = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)), max_size=4)
+    length = st.one_of(st.just(len(valid)), st.integers(0, len(valid) + 16))
+    return st.tuples(st.just(part), st.one_of(NFS1_BYTES, st.builds(_mutate, st.just(valid), writes, length)))
 
 
 class TestParseConfig:
@@ -218,6 +236,26 @@ class TestFuzz:
                 read_field(path)
             except ConfigError:
                 pass
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(ANY_LINE, max_size=3), st.sampled_from(sorted(VALID_D5N8)).flatmap(_field_file_for))
+    @example([], ("kernel", VALID_D5N8["kernel"]))
+    def test_any_input_through_the_cli(self, lines, field_file):
+        """`nfs bounds` reads every input a solve reads and runs no iteration, so exit 4 cannot occur."""
+        part, data = field_file
+        stderr = io.StringIO()
+        # the budget refuses the grids above d6n8 that the config lines may ask for, which would be slow
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"NFS_MEMORY_BUDGET_MB": "128"}):
+            path, cfg = os.path.join(tmp, "f.nfs1"), os.path.join(tmp, "run.cfg")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(CLI_GRID + "\n".join(lines) + f"\n{part}.file = {path}\n")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                rc = cli.main(["bounds", "--config", cfg, "--out", os.path.join(tmp, "out")])
+        err = stderr.getvalue()
+        assert rc in (0, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
 
 
 class TestBuilders:
@@ -418,6 +456,22 @@ class TestCli:
         assert self._solve_with_kernel_file(tmp_path, path) == 2
         err = capsys.readouterr().err
         assert "truncated" in err and err.count("\n") == 1
+
+    def test_payload_length_checked_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # a 20-byte file whose header promises 2,048 MB used to allocate it before reading 0 bytes
+        monkeypatch.delenv("NFS_MEMORY_BUDGET_MB", raising=False)
+        path = tmp_path / "k.nfs1"
+        path.write_bytes(HEADER.pack(MAGIC, 1, 2**28, 1.0))
+        tracemalloc.start()
+        try:
+            rc = self._solve_with_kernel_file(tmp_path, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: payload length 0 != expected {2**31} in {path}\n"
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "d, n, half_width, named",

@@ -1,7 +1,10 @@
 """Transform, symbol, convolution, and norm tests against independent oracles."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import gamma
 
 from nfs import builders, spectral
@@ -109,6 +112,42 @@ class TestInverseTransform:
         out = inverse_transform(forward_transform(f))
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(out.values - f.values)) < 1e-12 * scale
+
+
+def allowed_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestThreadedTransforms:
+    """Large grids run their nd-FFTs on every allowed CPU, with results bitwise equal to one thread."""
+
+    @pytest.mark.parametrize("d, n", [(5, 16), (7, 8)])
+    def test_bitwise_equal_to_one_worker(self, d, n):
+        spec = GridSpec(d, n, 4.0)
+        f = RealField(spec, np.random.default_rng(d).standard_normal(spec.size))
+        serial = scipy.fft.rfftn(f.reshaped(), workers=1)
+        # workers=2 explicitly, so that a 1-CPU machine exercises the threaded path too
+        assert np.array_equal(scipy.fft.rfftn(f.reshaped(), workers=2), serial)
+        assert np.array_equal(spectral.dft(f), serial)
+        F = forward_transform(f)
+        to_dft = spectral.half_lattice(spec).to_dft
+        serial = scipy.fft.irfftn(F.coeffs * to_dft, s=spec.shape, workers=1)
+        assert np.array_equal(scipy.fft.irfftn(F.coeffs * to_dft, s=spec.shape, workers=2), serial)
+        assert np.array_equal(inverse_transform(F).reshaped(), serial)
+
+    @pytest.mark.parametrize("n, expected", [(8, 1), (16, allowed_cpus())])
+    def test_workers_follow_grid_size(self, monkeypatch, n, expected):
+        """Contraction's d5n8 grid (2^15 points) stays serial; d5n16 (2^20 points) uses every CPU."""
+        seen = []
+        for name in ("rfftn", "irfftn"):
+            def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
+                seen.append(kwargs.get("workers"))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, recording)
+        spec = GridSpec(5, n, 4.0)
+        inverse_transform(forward_transform(RealField(spec, np.ones(spec.size))))
+        assert seen == [expected, expected]
 
 
 def times_symbol(F: SpectralField, symbol) -> SpectralField:
