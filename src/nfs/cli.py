@@ -145,8 +145,8 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ps.bounds).items()]
     lines += [
         f"epsilon = {_fmt(ps.epsilon)}",
-        f"guarantee = {report.guarantee}",
-        f"converged = {report.converged}",
+        f"guarantee = {'certified' if ps.certified else 'uncertified'}",
+        "converged = True",  # non-convergence raises
         f"iterations = {len(tr.step_h4)}",
         f"u_p_h4 = {_fmt(tr.iterate_h4[-1])}",
         f"u_h4 = {_fmt(spectral.norm_h4(report.u))}",
@@ -161,17 +161,16 @@ def cmd_contraction(cfg: RunConfig, out: str) -> int:
     stats = measure_contraction(ap.ps, cfg.trials, cfg.seed, u0=ap.u0)
     rows = [[i, d, r] for i, (d, r) in enumerate(zip(stats.distances, stats.ratios))]
     _write_csv(os.path.join(out, "contraction.csv"), ["trial", "v_dist", "ratio"], rows)
-    bound = stats.bound if stats.bound is not None else float("nan")
     lines = [
         f"max_ratio = {_fmt(stats.max_ratio)}",
         f"mean_ratio = {_fmt(stats.mean_ratio)}",
-        f"eps_sigma_bound = {_fmt(bound)}",
+        f"eps_sigma_bound = {_fmt(stats.bound)}",  # every CLI problem is assembled with a snapshot
         f"certified = {ap.ps.certified}",
     ]
     _report(out, "contraction.txt", cfg, lines)
-    if ap.ps.certified and stats.max_ratio > bound * (1.0 + cfg.slack):
+    if ap.ps.certified and stats.max_ratio > stats.bound * (1.0 + cfg.slack):
         lhs = "contraction bound violated: max_ratio"
-        return _violated(lhs, stats.max_ratio, "eps*sigma", bound, cfg.slack)
+        return _violated(lhs, stats.max_ratio, "eps*sigma", stats.bound, cfg.slack)
     return 0
 
 
@@ -333,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
         with np.errstate(all="ignore"):  # a non-finite number is refused by name, not warned about
             return HANDLERS[args.command](cfg, cfg.output_dir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: unreadable config or field file, unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AssumptionError as exc:
@@ -342,9 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     except IterationError as exc:
         print(f"iteration failed: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # unreadable config or field file, unusable --out
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NFSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -8,11 +8,15 @@ a strict contraction on the closed ball of radius rho in H4 whenever the
 coupling eps stays below the certified threshold. The iterate is kept as its
 half spectrum, and a step is one inverse transform (irfftn), the pointwise g,
 one forward transform (rfftn) and a multiply by the fixed spectral multiplier
-eps (2 pi)^(d/2) K^ / (|p|^2 + |p|^4). Norms, the ball check and the residual
-are read off spectra already in hand. A contraction pair keeps both draws as
-spectra too: 2 irfftn for the compositions and 1 rfftn of their difference.
-The iteration is plain (no acceleration): its geometric decay is itself one
-of the measured quantities.
+eps (2 pi)^(d/2) K^ / (|p|^2 + |p|^4). Every eps K conv g(u0 + v) is taken on
+one path, after the ball and the interval checks: every step's, apply_tg's and
+the one for the last iterate's residual, so the returned u is checked like any
+other iterate. eps = 0 needs no special case: the multiplier is then 0, and the
+solve of an all-zero spectrum is zero. Norms and the residual are read off
+spectra already in hand. A contraction pair keeps both draws as spectra too:
+2 irfftn for the compositions and 1 rfftn of their difference. The iteration
+is plain (no acceleration): its geometric decay is itself one of the measured
+quantities.
 """
 
 from __future__ import annotations
@@ -88,8 +92,6 @@ class SolveReport:
     u_p: RealField
     u: RealField
     trace: IterationTrace
-    converged: bool
-    guarantee: str  # "certified" or "uncertified"
 
 
 @dataclass
@@ -118,42 +120,39 @@ def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
         raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
 
 
-def _solve_conv(ps: ProblemSpec, conv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectra of the mean-projected linear solve of eps K conv G, and of eps K conv G.
+def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float) -> np.ndarray:
+    """Half spectrum of eps K conv g(u0 + v), after the ball and the interval checks.
 
-    `conv` is dft(G), scaled in place. Callers pass it rather than G, so that G is
-    freed before the solve allocates (one real field less at the peak).
+    It is dft(G) times the multiplier, so at eps = 0 it is all zero. G is freed on return,
+    before a caller's solve allocates (one real field less at the peak).
     """
-    conv *= ps.multiplier
-    if not np.any(conv):
-        return np.zeros_like(conv), conv
-    return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs, conv
-
-
-def _image(
-    ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Half spectrum of t_g(v), and that of eps K conv g(u0 + v) (None at eps = 0)."""
     _check_ball(ps, v_h4)
-    if ps.epsilon == 0.0:
-        return np.zeros(ps.grid.half_shape, dtype=complex), None
-    return _solve_conv(ps, spectral.dft(compose(ps.g, u0, v, ps.interval)))
+    conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
+    conv *= ps.multiplier
+    return conv
 
 
-def _residual(ps: ProblemSpec, vh: np.ndarray, conv: Optional[np.ndarray]) -> float:
+def _solve(ps: ProblemSpec, conv: np.ndarray) -> np.ndarray:
+    """Half spectrum of the mean-projected linear solve of `conv`; zero for an all-zero `conv`."""
+    if not np.any(conv):
+        return np.zeros_like(conv)
+    return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
+
+
+def _residual(ps: ProblemSpec, vh: np.ndarray, conv: np.ndarray) -> float:
     """L2 norm of eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped
-    (off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding, so it is left out)."""
-    res = np.zeros_like(vh) if conv is None else conv  # callers do not read conv afterwards
-    slabs = (a.reshape(len(a), -1) for a in (res, ps.lattice.symbol, vh))
+    (off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding, so it is left out).
+    `conv` is overwritten with the residual's spectrum."""
+    slabs = (a.reshape(len(a), -1) for a in (conv, ps.lattice.symbol, vh))
     for out, s, v in zip(*slabs):  # one axis-0 slab at a time
         out -= s * v
-    res[(0,) * ps.grid.d] = 0.0
-    return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
+    conv[(0,) * ps.grid.d] = 0.0
+    return spectral.norm_l2_spectral(SpectralField(ps.grid, conv))
 
 
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
-    out, _ = _image(ps, u0, v, spectral.norm_h4(v))
+    out = _solve(ps, _checked_conv(ps, u0, v, spectral.norm_h4(v)))
     return spectral.inverse_transform(SpectralField(ps.grid, out))
 
 
@@ -161,8 +160,9 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     """Iterate v <- t_g(v) from v = 0 until the relative H4 step converges.
 
     The residual of iterate k uses the g(u0 + v_k) that step k + 1 transforms
-    anyway; only the last iterate needs one more forward transform for it. The
-    real iterate v lives only from its inverse transform to the composition.
+    anyway; only the last iterate needs one more forward transform for it, after
+    the same ball and interval checks. The real iterate v lives only from its
+    inverse transform to the composition.
     """
     grid = ps.grid
     u0 = spectral.inverse_transform(solve_linear_full(spectral.forward_transform(ps.source), ps.project_mean))
@@ -174,8 +174,9 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     trace = IterationTrace()
     grow_streak = 0
     for _ in range(ps.max_iter):
-        vh_next, conv = _image(ps, u0, v, v_h4)
+        conv = _checked_conv(ps, u0, v, v_h4)
         del v
+        vh_next = _solve(ps, conv)
         if trace.step_h4:  # the previous iterate's residual, from this step's G
             trace.residual.append(_residual(ps, vh, conv))
         del conv
@@ -197,20 +198,9 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     else:
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
     v = spectral.inverse_transform(SpectralField(grid, vh))
-    conv = None  # like residual(), no interval or ball check on the last iterate
-    if ps.epsilon != 0.0:  # u is built after G^, so G and u are not alive at once
-        conv = spectral.dft(RealField(grid, ps.g.g(u0.values + v.values)))
-        conv *= ps.multiplier
-    trace.residual.append(_residual(ps, vh, conv))
-    u = RealField(grid, u0.values + v.values)
-    return SolveReport(
-        u0=u0,
-        u_p=v,
-        u=u,
-        trace=trace,
-        converged=True,
-        guarantee="certified" if ps.certified else "uncertified",
-    )
+    # u is built after G^, so G and u are not alive at once
+    trace.residual.append(_residual(ps, vh, _checked_conv(ps, u0, v, v_h4)))
+    return SolveReport(u0=u0, u_p=v, u=RealField(grid, u0.values + v.values), trace=trace)
 
 
 def residual(u: RealField, ps: ProblemSpec) -> float:
@@ -222,12 +212,8 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
     """
     uh = spectral.forward_transform(u).coeffs
     p2 = spectral.p2(ps.grid)
-    rhs = RealField(ps.grid, ps.source.values.copy())
-    if ps.epsilon != 0.0:
-        gu = RealField(ps.grid, np.asarray(ps.g.g(u.values)))
-        conv = spectral.convolve(ps.kernel, gu)
-        rhs.values = rhs.values + ps.epsilon * conv.values
-    rh = spectral.forward_transform(rhs)
+    conv = spectral.convolve(ps.kernel, RealField(ps.grid, ps.g.g(u.values)))
+    rh = spectral.forward_transform(RealField(ps.grid, ps.source.values + ps.epsilon * conv.values))
     res = rh.coeffs - (uh * p2 + uh * p2**2)  # [lap - lap^2]u = -(|p|^2 + |p|^4) u^
     res[(0,) * ps.grid.d] = 0.0
     return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
@@ -294,14 +280,14 @@ def measure_contraction(
             continue  # degenerate pair, resample
         for vh in (v1h, v2h):
             _check_ball(ps, _h4(grid, vh))
-        ratio = 0.0
-        if ps.epsilon != 0.0:  # each v is freed once g(u0 + v) is built
-            g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vh)), ps.interval)
-                      for vh in (v1h, v2h))
-            diff = _solve_conv(ps, spectral.dft(RealField(grid, g1.values - g2.values)))[0]
-            ratio = _h4(grid, diff) / dist
-            del g1, g2, diff  # not kept alive through the next pair's draws
-        ratios.append(ratio)
+        # each v is freed once g(u0 + v) is built
+        g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vh)), ps.interval)
+                  for vh in (v1h, v2h))
+        diff = spectral.dft(RealField(grid, g1.values - g2.values))
+        diff *= ps.multiplier
+        diff = _solve(ps, diff)
+        ratios.append(_h4(grid, diff) / dist)
+        del g1, g2, diff  # not kept alive through the next pair's draws
         distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
     return ContractionStats(

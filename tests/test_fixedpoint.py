@@ -29,7 +29,7 @@ from nfs.fixedpoint import (
 from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import (AssumptionError, ConfigError, GridMismatch, IntervalExceeded, NonPositiveInput,
-                        TrivialField)
+                        OutsideBall, TrivialField)
 from nfs.nonlinearity import IntervalI, Nonlinearity
 from nfs.spectral import norm_h4, norm_l2
 
@@ -116,14 +116,15 @@ class TestSolveFixedPoint:
     def test_zero_epsilon_returns_linear_solution(self):
         ps = small_problem(0.0)
         rep = solve_fixed_point(ps)
-        assert rep.converged
+        assert rep.trace.step_h4 == [0.0]
         assert not np.any(rep.u_p.values)
         assert np.array_equal(rep.u.values, rep.u0.values)
 
     def test_standard_converges_certified(self, standard_scenario):
-        rep = solve_fixed_point(standard_scenario.ps)
-        assert rep.converged
-        assert rep.guarantee == "certified"
+        ps = standard_scenario.ps
+        tr = solve_fixed_point(ps).trace
+        assert tr.step_h4[-1] <= ps.tol_fp * max(1.0, tr.iterate_h4[-1])
+        assert ps.certified
 
     def test_geometric_decay_within_bound(self, standard_scenario):
         ps = standard_scenario.ps
@@ -150,8 +151,9 @@ class TestSolveFixedPoint:
         assert diff < 1e-8
 
     def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
-        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
-        calls = {"fft": 0, "solve": 0}
+        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0;
+        # 1 checked composition per step and 1 for the last residual
+        calls = {"fft": 0, "solve": 0, "compose": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -163,8 +165,20 @@ class TestSolveFixedPoint:
         for name in ("rfftn", "irfftn"):
             monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
         monkeypatch.setattr(fixedpoint, "solve_linear_full", counted(solve_linear_full, "solve"))
+        monkeypatch.setattr(fixedpoint, "compose", counted(fixedpoint.compose, "compose"))
         k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
         assert (calls["fft"], calls["solve"]) == (2 * k + 3, k + 1)
+        assert calls["compose"] == k + 1
+
+    def test_last_iterate_is_ball_checked(self, standard_scenario):
+        # stop after 3 steps, with rho between ||v_2||_H4 and ||v_3||_H4: only the returned v_3 leaves the ball
+        tr = solve_fixed_point(standard_scenario.ps).trace
+        tol_fp = float(np.sqrt(tr.step_h4[1] * tr.step_h4[2]))
+        rho = 0.5 * (tr.iterate_h4[1] + tr.iterate_h4[2])
+        assert tr.iterate_h4[1] < rho < tr.iterate_h4[2]
+        ps = dataclasses.replace(standard_scenario.ps, tol_fp=tol_fp, rho=rho)
+        with pytest.raises(OutsideBall, match=f"exceeds rho = {rho}"):
+            solve_fixed_point(ps)
 
     def test_working_set(self, standard_scenario):
         ps = standard_scenario.ps

@@ -8,9 +8,13 @@ contraction sampler's draws, distances and ratios are pinned the same way, and
 two tests count the nd-FFTs a solve and a contraction pair make.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfs import builders, pipeline
 from nfs.fixedpoint import measure_contraction, sample_ball, solve_fixed_point
@@ -110,6 +114,32 @@ def test_solve_matches_full_spectrum_reference(d):
     np.testing.assert_allclose(tr.residual, residual_ref, rtol=0, atol=1e-12 * f_scale)
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    d=st.sampled_from([5, 6]),
+    sigma=st.floats(0.8, 1.2),
+    coeffs=st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=1, max_size=3),
+    eps_scale=st.sampled_from([1.0, 0.5, 0.0]),
+)
+def test_any_problem_matches_full_spectrum_reference(d, sigma, coeffs, eps_scale):
+    """Kernel width, polynomial and coupling drawn at random: eps = auto, auto / 2 and 0."""
+    gs = GridSpec(d, 8, 4.0 * np.pi)
+    kernel = builders.build_gaussian_kernel(gs, sigma, 1.0)
+    source = builders.build_gaussian_diff_source(gs)
+    ps = pipeline.assemble_problem(gs, kernel, source, Nonlinearity(coeffs=coeffs)).ps
+    ps = dataclasses.replace(ps, epsilon=eps_scale * ps.epsilon)
+    rep = solve_fixed_point(ps)
+    u_ref, iterate_ref, step_ref, residual_ref = reference_solve(ps)
+    tr = rep.trace
+    assert len(tr.step_h4) == len(step_ref)
+    np.testing.assert_allclose(tr.iterate_h4, iterate_ref, rtol=1e-12, atol=0)
+    for step, want, h4 in zip(tr.step_h4, step_ref, iterate_ref):
+        assert abs(step - want) <= 1e-12 * h4
+    assert np.max(np.abs(rep.u.values - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    f_scale = max(1.0, norm_l2(ps.source))
+    np.testing.assert_allclose(tr.residual, residual_ref, rtol=0, atol=1e-12 * f_scale)
+
+
 def reference_draw(fs, rho, rng):
     """A ball draw symmetrized on the full lattice and transformed in full."""
     shape = fs.spec.shape
@@ -182,12 +212,12 @@ def count_nd_ffts(monkeypatch):
 
 
 def test_fft_count_per_step(standard_scenario, monkeypatch):
-    """At most 3 nd-FFTs per Picard step, plus the u0 solve and the last residual."""
+    """2 nd-FFTs per Picard step, 2 for the u0 solve and 1 for the last residual."""
     calls = count_nd_ffts(monkeypatch)
     rep = solve_fixed_point(standard_scenario.ps)
     steps = len(rep.trace.step_h4)
     assert steps >= 3
-    assert len(calls) <= 3 * steps + 2 + 2
+    assert len(calls) == 2 * steps + 2 + 1
 
 
 def test_fft_count_per_contraction_pair(standard_scenario, monkeypatch):
