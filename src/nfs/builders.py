@@ -8,6 +8,8 @@ a field whose tails carry visible L1 mass signals a box that is too small.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from . import spectral
@@ -19,11 +21,10 @@ SHELL_MASS_LIMIT = 1e-6
 
 def _gaussian_hump(grid: GridSpec, center: np.ndarray, width: float) -> np.ndarray:
     # squared periodic distance to `center`, summed axis by axis in forward order
-    coords, period, sq = grid.axis_coords(), 2.0 * grid.half_width, 0.0
-    for axis in range(grid.d):
-        w = coords - center[axis]
-        w -= period * np.floor((w + grid.half_width) / period)
-        sq = sq + (w * w).reshape((grid.n,) + (1,) * (grid.d - 1 - axis))
+    coords, period = grid.axis_coords(), 2.0 * grid.half_width
+    w = coords - center[:, None]  # row i: x - center[i] on axis i, wrapped into [-L, L)
+    w -= period * np.floor((w + grid.half_width) / period)
+    sq = reduce(np.add.outer, w * w)
     return np.exp(-sq / (2.0 * width**2)).reshape(-1)
 
 

@@ -3,13 +3,14 @@
 Unknown keys are errors so typos never pass silently. Every field has a
 default except the grid geometry, which should be stated explicitly in any
 real run (defaults target the standard five-dimensional desk scenario).
-One table, `KEYS`, drives both parsing and echoing, and numbers must be finite.
+One table, `KEYS`, drives parsing, echoing and checking, and numbers must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ConfigError
 
@@ -69,39 +70,13 @@ class RunConfig:
 
     def validate(self) -> None:
         check_grid(self.dimension, self.n, self.half_width)
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not (0.0 < self.rho <= 1.0):
-            raise ConfigError(f"rho must lie in (0, 1], got {self.rho}")
-        if not (self.tol_fp > 0):
-            raise ConfigError(f"tol_fp must be positive, got {self.tol_fp}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.slack < 0:
-            raise ConfigError(f"slack must be nonnegative, got {self.slack}")
-        if self.mean_policy not in MEAN_POLICIES:
-            raise ConfigError(f"mean_policy must be one of {MEAN_POLICIES}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.sequence_count < 1:
-            raise ConfigError(f"sequence.count must be >= 1, got {self.sequence_count}")
-        if self.kernel.type not in KERNEL_TYPES:
-            raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}")
-        if self.source.type not in SOURCE_TYPES:
-            raise ConfigError(f"source.type must be one of {SOURCE_TYPES}")
+        for key, path, _, applies, rule in KEYS:
+            if rule is not None and (applies is None or applies(self)):
+                check_value(key, attrgetter(path)(self))
         for name, part in (("kernel", self.kernel), ("source", self.source)):
-            if part.type == "file" and not part.file:
-                raise ConfigError(f"{name}.type = file needs {name}.file")
-        if self.kernel.type == "gaussian" and not (self.kernel.sigma > 0):
-            raise ConfigError(f"kernel.sigma must be positive, got {self.kernel.sigma}")
-        if self.source.type == "gaussian-diff":
-            for w in self.source.widths:
-                if not (w > 0):
-                    raise ConfigError(f"source widths must be positive, got {w}")
-        if not self.coeffs or not any(self.coeffs):
-            raise ConfigError("nonlinearity.coeffs must not be identically zero")
+            if (part.type == "file") != bool(part.file):
+                raise ConfigError(f"{name}.type must be 'file' exactly when {name}.file names a file, "
+                                  f"got {part.type!r} with {name}.file = {part.file!r}")
 
     @property
     def project_mean(self) -> bool:
@@ -156,41 +131,56 @@ _EPSILON = (
 )
 
 
-# Every key in echo order: (key, attribute path in RunConfig, (parse, show), shown-when).
-# A key whose shown-when is None is always echoed.
+# (accepts, requirement) of a key's values; a value it does not accept is refused as
+# `<key> <requirement>, got <value>`
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
+_COUNT = (lambda x: x >= 1, "must be >= 1")
+
+
+def _one_of(choices: tuple[str, ...]) -> tuple:
+    return (lambda x: x in choices, f"must be one of {choices}")
+
+
+# Every key in echo order: (key, attribute path in RunConfig, (parse, show), applies-when, rule).
+# A key whose applies-when is None always applies; a key is echoed, and its rule checked, only
+# where it applies. A key whose rule is None takes any value it parses to.
 KEYS = (
-    ("grid.dimension", "dimension", _INT, None),
-    ("grid.n", "n", _INT, None),
-    ("grid.half_width", "half_width", _FLOAT, None),
-    ("run.epsilon", "epsilon", _EPSILON, None),
-    ("run.rho", "rho", _FLOAT, None),
-    ("run.tol_fp", "tol_fp", _FLOAT, None),
-    ("run.max_iter", "max_iter", _INT, None),
-    ("run.seed", "seed", _INT, None),
-    ("run.slack", "slack", _FLOAT, None),
-    ("run.output_dir", "output_dir", _TEXT, None),
-    ("run.mean_policy", "mean_policy", _TEXT, None),
-    ("run.trials", "trials", _INT, None),
-    ("sequence.count", "sequence_count", _INT, None),
-    ("kernel.type", "kernel.type", _TEXT, None),
-    ("kernel.sigma", "kernel.sigma", _FLOAT, lambda c: c.kernel.type == "gaussian"),
-    ("kernel.amplitude", "kernel.amplitude", _FLOAT, lambda c: c.kernel.type == "gaussian"),
-    ("kernel.file", "kernel.file", _TEXT, lambda c: c.kernel.type != "gaussian"),
-    ("source.type", "source.type", _TEXT, None),
-    ("source.centers", "source.centers", _PAIR, lambda c: c.source.type == "gaussian-diff"),
-    ("source.widths", "source.widths", _PAIR, lambda c: c.source.type == "gaussian-diff"),
-    ("source.amplitude", "source.amplitude", _FLOAT, lambda c: c.source.type == "gaussian-diff"),
-    ("source.file", "source.file", _TEXT, lambda c: c.source.type != "gaussian-diff"),
-    ("nonlinearity.coeffs", "coeffs", _FLOATS, None),
-    ("nonlinearity.coeffs2", "coeffs2", _FLOATS, lambda c: c.coeffs2 is not None),
+    ("grid.dimension", "dimension", _INT, None, None),  # the grid's rules are check_grid's
+    ("grid.n", "n", _INT, None, None),
+    ("grid.half_width", "half_width", _FLOAT, None, None),
+    ("run.epsilon", "epsilon", _EPSILON, None, (lambda x: x is None or x >= 0, "must be nonnegative")),
+    ("run.rho", "rho", _FLOAT, None, (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")),
+    ("run.tol_fp", "tol_fp", _FLOAT, None, _POSITIVE),
+    ("run.max_iter", "max_iter", _INT, None, _COUNT),
+    ("run.seed", "seed", _INT, None, _NONNEGATIVE),
+    ("run.slack", "slack", _FLOAT, None, _NONNEGATIVE),
+    ("run.output_dir", "output_dir", _TEXT, None, None),
+    ("run.mean_policy", "mean_policy", _TEXT, None, _one_of(MEAN_POLICIES)),
+    ("run.trials", "trials", _INT, None, _COUNT),
+    ("sequence.count", "sequence_count", _INT, None, _COUNT),
+    ("kernel.type", "kernel.type", _TEXT, None, _one_of(KERNEL_TYPES)),
+    ("kernel.sigma", "kernel.sigma", _FLOAT, lambda c: c.kernel.type == "gaussian", _POSITIVE),
+    ("kernel.amplitude", "kernel.amplitude", _FLOAT, lambda c: c.kernel.type == "gaussian", None),
+    ("kernel.file", "kernel.file", _TEXT, lambda c: c.kernel.type != "gaussian", None),
+    ("source.type", "source.type", _TEXT, None, _one_of(SOURCE_TYPES)),
+    ("source.centers", "source.centers", _PAIR, lambda c: c.source.type == "gaussian-diff", None),
+    ("source.widths", "source.widths", _PAIR, lambda c: c.source.type == "gaussian-diff",
+     (lambda ws: all(w > 0 for w in ws), "must both be positive")),
+    ("source.amplitude", "source.amplitude", _FLOAT, lambda c: c.source.type == "gaussian-diff", None),
+    ("source.file", "source.file", _TEXT, lambda c: c.source.type != "gaussian-diff", None),
+    ("nonlinearity.coeffs", "coeffs", _FLOATS, None, (any, "must not be identically zero")),
+    ("nonlinearity.coeffs2", "coeffs2", _FLOATS, lambda c: c.coeffs2 is not None, None),
 )
 _BY_KEY = {row[0]: row[1:3] for row in KEYS}
+_RULES = {row[0]: row[4] for row in KEYS if row[4] is not None}
 
 
-def _owner(cfg: RunConfig, path: str) -> tuple[object, str]:
-    """The object holding the attribute at `path`, and the attribute's name."""
-    head, _, attr = path.rpartition(".")
-    return (getattr(cfg, head) if head else cfg), attr
+def check_value(key: str, value) -> None:
+    """Refuse a value that breaks the rule in `key`'s row of KEYS, naming the key and the value."""
+    accepts, requirement = _RULES[key]
+    if not accepts(value):
+        raise ConfigError(f"{key} {requirement}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,7 +200,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in _BY_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         path, (parse, _) = _BY_KEY[key]
-        owner, attr = _owner(cfg, path)
+        head, _, attr = path.rpartition(".")
+        owner = getattr(cfg, head) if head else cfg  # the object holding the attribute
         setattr(owner, attr, parse(key, value))
         if attr == "file":  # naming a field file selects it as the kernel or source
             owner.type = "file"
@@ -221,8 +212,7 @@ def parse_config(text: str) -> RunConfig:
 def echo_config(cfg: RunConfig) -> str:
     """Render the fully resolved configuration for report auditability."""
     lines = []
-    for key, path, (_, show), shown in KEYS:
-        if shown is None or shown(cfg):
-            owner, attr = _owner(cfg, path)
-            lines.append(f"{key} = {show(getattr(owner, attr))}")
+    for key, path, (_, show), applies, _ in KEYS:
+        if applies is None or applies(cfg):
+            lines.append(f"{key} = {show(attrgetter(path)(cfg))}")
     return "\n".join(lines)

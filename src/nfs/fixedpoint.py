@@ -29,10 +29,11 @@ import numpy as np
 
 from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
-from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch,
-                     NotConverged, OutsideBall, TrivialField)
+from .config import check_value
+from .errors import (AssumptionError, DegeneratePair, Diverged, GridMismatch, NotConverged, OutsideBall,
+                     TrivialField)
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
-from .linear import solve_linear_full
+from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
 
 BALL_SLACK = 1e-12
@@ -62,10 +63,8 @@ class ProblemSpec:
         check_same_grid(self.kernel, self.source)
         if self.kernel.spec != self.grid:
             raise GridMismatch(f"kernel grid {self.kernel.spec} differs from problem grid {self.grid}")
-        if not (0.0 < self.rho <= 1.0):
-            raise ConfigError(f"rho must lie in (0, 1], got {self.rho}")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be nonnegative, got {self.epsilon}")
+        check_value("run.rho", self.rho)
+        check_value("run.epsilon", self.epsilon)
         if not np.any(self.kernel.values) or not np.any(self.source.values):
             raise TrivialField("kernel and source must be nontrivial")
         self.lattice = spectral.half_lattice(self.grid)
@@ -165,7 +164,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     inverse transform to the composition.
     """
     grid = ps.grid
-    u0 = spectral.inverse_transform(solve_linear_full(spectral.forward_transform(ps.source), ps.project_mean))
+    u0 = solve_linear(ps.source, ps.project_mean)
     if v_start is None:
         v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
     else:
@@ -266,6 +265,8 @@ def measure_contraction(
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
     """
+    check_value("run.trials", trials)
+    check_value("run.seed", seed)
     grid, rng = ps.grid, np.random.default_rng(seed)
     # Freeing 8 real fields raises glibc's dynamic mmap threshold (only blocks up to 32 MB move it), and
     # the trim threshold (twice it), above one pair's temporaries: these are then reused on the heap, not

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import fft
@@ -51,18 +51,14 @@ class HalfLattice:
 
 def p2(spec: GridSpec) -> np.ndarray:
     """|p_k|^2 on the half lattice, built on demand: the cached lattice does not keep it."""
-    pk, out = spec.axis_freqs(), np.zeros(spec.half_shape)
-    for axis, m in enumerate(spec.half_shape):
-        out += (pk[:m] ** 2).reshape((m,) + (1,) * (spec.d - 1 - axis))
-    return out
+    pk = spec.axis_freqs()
+    return reduce(np.add.outer, [pk[:m] ** 2 for m in spec.half_shape])
 
 
 @lru_cache(maxsize=4)
 def half_lattice(spec: GridSpec) -> HalfLattice:
     """The grid's half-lattice arrays, built once and read-only: every caller shares them."""
-    q, phase = p2(spec), np.ones(spec.half_shape)
-    for axis, m in enumerate(spec.half_shape):
-        phase = phase * ((-1.0) ** np.arange(m)).reshape((m,) + (1,) * (spec.d - 1 - axis))
+    q, phase = p2(spec), reduce(np.multiply.outer, [(-1.0) ** np.arange(m) for m in spec.half_shape])
     symbol = q + q**2
     symbol[(0,) * spec.d] = 1.0
     hermitian = np.full(spec.half_shape[-1], 2.0)

@@ -72,6 +72,25 @@ VALUES = {
 }
 
 
+# a value, as config text, that breaks the rule of each key that has one
+BROKEN = {
+    "run.epsilon": "-0.5",
+    "run.rho": "1.5",
+    "run.tol_fp": "0.0",
+    "run.max_iter": "0",
+    "run.seed": "-1",
+    "run.slack": "-0.01",
+    "run.mean_policy": "ignore",
+    "run.trials": "0",
+    "sequence.count": "-2",
+    "kernel.type": "gausian",
+    "kernel.sigma": "-1.0",
+    "source.type": "gaussian_diff",
+    "source.widths": "1.0, 0.0",
+    "nonlinearity.coeffs": "0.0, 0.0",
+}
+
+
 # any value, as config text: numbers of every size, the words the table knows, and noise
 ANY_VALUE = st.one_of(
     st.text(),
@@ -175,28 +194,30 @@ class TestParseConfig:
         for f in dataclasses.fields(RunConfig):
             sub = {"kernel": KernelConfig, "source": SourceConfig}.get(f.name)
             want += [f"{f.name}.{g.name}" for g in dataclasses.fields(sub)] if sub else [f.name]
-        assert sorted(path for _, path, _, _ in KEYS) == sorted(want)
-        assert sorted(key for key, _, _, _ in KEYS) == sorted(VALUES)
+        assert sorted(path for _, path, _, _, _ in KEYS) == sorted(want)
+        assert sorted(key for key, _, _, _, _ in KEYS) == sorted(VALUES)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_echo_is_a_fixed_point(self, data):
         """Echo omits unused branches (kernel.sigma of a file kernel), so compare echoes
-        and the values of the keys echoed."""
+        and the values of the keys echoed. The types come first: a named file after them
+        selects type file, while a built-in type after a named file is refused."""
         keys = data.draw(st.lists(st.sampled_from(sorted(VALUES)), unique=True))
+        keys.sort(key=lambda k: not k.endswith(".type"))
         cfg = parse_config("\n".join(f"{k} = {data.draw(VALUES[k], label=k)}" for k in keys))
         echoed = echo_config(cfg)
         again = parse_config(echoed)
         assert echo_config(again) == echoed
-        for key, path, _, shown in KEYS:
-            if shown is None or shown(cfg):
+        for key, path, _, applies, _ in KEYS:
+            if applies is None or applies(cfg):
                 assert attrgetter(path)(again) == attrgetter(path)(cfg), key
 
     def test_echo_shows_the_selected_branch_only(self):
         def echoed(text):
             return {line.split(" = ")[0] for line in echo_config(parse_config(text)).splitlines()}
 
-        every = {key for key, _, _, _ in KEYS}
+        every = {key for key, _, _, _, _ in KEYS}
         gaussian = {"kernel.sigma", "kernel.amplitude", "source.centers", "source.widths", "source.amplitude"}
         assert echoed("") == every - {"kernel.file", "source.file", "nonlinearity.coeffs2"}
         assert echoed("kernel.file = k\nsource.file = f\nnonlinearity.coeffs2 = 1") == every - gaussian
@@ -207,8 +228,30 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("part", ["kernel", "source"])
     def test_file_type_needs_a_path(self, part):
-        with pytest.raises(ConfigError, match=f"{part}.type = file needs {part}.file"):
+        with pytest.raises(ConfigError, match=f"{part}.type must be 'file' exactly when {part}.file names a "
+                                              f"file, got 'file' with {part}.file = ''"):
             parse_config(f"{part}.type = file")
+
+    @pytest.mark.parametrize("part, builtin", [("kernel", "gaussian"), ("source", "gaussian-diff")])
+    def test_named_file_needs_file_type(self, part, builtin):
+        # the built-in type used to win, and the named file was dropped without a word
+        with pytest.raises(ConfigError, match=f"{part}.type must be 'file' exactly when {part}.file names a "
+                                              f"file, got '{builtin}' with {part}.file = 'k.nfs1'"):
+            parse_config(f"{part}.file = k.nfs1\n{part}.type = {builtin}")
+
+    @pytest.mark.parametrize("key, value", list(BROKEN.items()))
+    def test_broken_rule_names_key_and_value(self, key, value, tmp_path, capsys):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{key} = {value}")
+        message = str(exc.value)
+        assert message.startswith(f"{key} must ") and value in message
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        assert run_cli(["bounds", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_every_rule_is_exercised(self):
+        assert sorted(key for key, _, _, _, rule in KEYS if rule is not None) == sorted(BROKEN)
 
 
 class TestFuzz:

@@ -15,7 +15,7 @@ import pytest
 import scipy.fft
 
 import nfs
-from nfs import builders, fixedpoint, pipeline, spectral
+from nfs import builders, fixedpoint, linear, pipeline, spectral
 from nfs.fixedpoint import (
     ProblemSpec,
     apply_tg,
@@ -52,6 +52,11 @@ def _problem_spec(**changes) -> ProblemSpec:
     return ProblemSpec(**{**args, **changes})
 
 
+def _contraction(trials, seed):
+    ps = small_problem(0.5)
+    return measure_contraction(ps, trials, seed, solve_linear(ps.source))
+
+
 def _continuity(**changes):
     ps = small_problem(0.5)
     return continuity_experiment(ps, dataclasses.replace(ps, **changes))
@@ -61,15 +66,17 @@ def _continuity(**changes):
     "build, error, match",
     [
         (lambda: _problem_spec(grid=GridSpec(2, 16, 2 * np.pi)), GridMismatch, "differs from problem grid"),
-        (lambda: _problem_spec(rho=1.5), ConfigError, r"rho must lie in \(0, 1\], got 1.5"),
-        (lambda: _problem_spec(epsilon=-1.0), ConfigError, "epsilon must be nonnegative, got -1.0"),
+        (lambda: _problem_spec(rho=1.5), ConfigError, r"^run\.rho must lie in \(0, 1\], got 1.5$"),
+        (lambda: _problem_spec(epsilon=-1.0), ConfigError, r"^run\.epsilon must be nonnegative, got -1.0$"),
+        (lambda: _contraction(0, 1), ConfigError, r"^run\.trials must be >= 1, got 0$"),
+        (lambda: _contraction(3, -1), ConfigError, r"^run\.seed must be nonnegative, got -1$"),
         (lambda: _problem_spec(source=zeros_like(GridSpec(2, 8, 2 * np.pi))), TrivialField, "nontrivial"),
         (lambda: IntervalI(-1.0, 2.0), AssumptionError, "symmetric about 0"),
         (lambda: _continuity(epsilon=0.25), AssumptionError, "shared epsilon"),
         (lambda: _continuity(), AssumptionError, "bounds snapshot"),
     ],
-    ids=["kernel-grid", "rho", "epsilon", "trivial-source", "asymmetric-interval", "unshared-epsilon",
-         "no-snapshot"],
+    ids=["kernel-grid", "rho", "epsilon", "no-trials", "negative-seed", "trivial-source", "asymmetric-interval",
+         "unshared-epsilon", "no-snapshot"],
 )
 def test_bad_arguments_raise_package_errors(build, error, match):
     with pytest.raises(error, match=match):
@@ -151,8 +158,8 @@ class TestSolveFixedPoint:
         assert diff < 1e-8
 
     def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
-        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0;
-        # 1 checked composition per step and 1 for the last residual
+        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
+        # (inside linear.solve_linear); 1 checked composition per step and 1 for the last residual
         calls = {"fft": 0, "solve": 0, "compose": 0}
 
         def counted(fn, key):
@@ -164,7 +171,8 @@ class TestSolveFixedPoint:
 
         for name in ("rfftn", "irfftn"):
             monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
-        monkeypatch.setattr(fixedpoint, "solve_linear_full", counted(solve_linear_full, "solve"))
+        for module in (fixedpoint, linear):
+            monkeypatch.setattr(module, "solve_linear_full", counted(solve_linear_full, "solve"))
         monkeypatch.setattr(fixedpoint, "compose", counted(fixedpoint.compose, "compose"))
         k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
         assert (calls["fft"], calls["solve"]) == (2 * k + 3, k + 1)

@@ -155,6 +155,21 @@ def times_symbol(F: SpectralField, symbol) -> SpectralField:
     return SpectralField(F.spec, F.coeffs * symbol(spectral.p2(F.spec)))
 
 
+class TestHalfLattice:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_separable_tables_match_pointwise_loop(self, d):
+        """|p|^2 and the phase round exactly as a per-point sum and product over axes in forward order."""
+        spec = GridSpec(d, 8, 2.0)
+        pk, want_p2, want_phase = spec.axis_freqs(), np.zeros(spec.half_shape), np.ones(spec.half_shape)
+        for idx in np.ndindex(spec.half_shape):
+            for k in idx:
+                want_p2[idx] += pk[k] ** 2
+                want_phase[idx] *= (-1.0) ** k
+        scale = spec.spacing**d * (2.0 * np.pi) ** (-d / 2.0)
+        assert np.array_equal(spectral.p2(spec), want_p2)
+        assert np.array_equal(spectral.half_lattice(spec).to_coeffs, want_phase * scale)
+
+
 class TestApplySymbol:
     def test_l_symbol_on_cosine(self):
         spec = GridSpec(2, 8, np.pi)
