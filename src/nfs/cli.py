@@ -27,7 +27,10 @@ from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-FIELDS = 18  # real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction
+# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 8 held (kernel,
+# source, u0, the multiplier, four half-lattice arrays, the ball tables), at most 5 on the pair's thread
+# and 4.125 on the draw thread (README, "Environment variables"), rounded up.
+FIELDS = 18
 
 
 def _fmt(x: float) -> str:

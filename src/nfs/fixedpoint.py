@@ -21,17 +21,19 @@ quantities.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
 from .config import check_value
-from .errors import (AssumptionError, DegeneratePair, Diverged, GridMismatch, NotConverged, OutsideBall,
-                     TrivialField)
+from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch, NotConverged,
+                     OutsideBall, TrivialField)
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
 from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
@@ -64,6 +66,8 @@ class ProblemSpec:
         if self.kernel.spec != self.grid:
             raise GridMismatch(f"kernel grid {self.kernel.spec} differs from problem grid {self.grid}")
         check_value("run.rho", self.rho)
+        if self.epsilon is None:  # the config's "auto"
+            raise ConfigError("run.epsilon must be a number here, as only assemble_problem resolves auto; got None")
         check_value("run.epsilon", self.epsilon)
         if not np.any(self.kernel.values) or not np.any(self.source.values):
             raise TrivialField("kernel and source must be nontrivial")
@@ -236,11 +240,13 @@ def sample_ball_spectrum(
     directions while staying in H4.
     """
     mirror, weight = _ball_tables(grid)
-    raw = rng.standard_normal(2 * grid.size)  # real parts, then imaginary parts
-    re, im = raw[: grid.size], raw[grid.size :]
     m, sym = grid.half_shape[-1], np.empty(grid.half_shape, dtype=complex)
-    np.multiply(re.reshape(grid.shape)[..., :m] + re[mirror], weight, out=sym.real)
-    np.multiply(im.reshape(grid.shape)[..., :m] - im[mirror], weight, out=sym.imag)
+    # n^d real parts, then n^d imaginary parts: the same stream as one draw of 2 n^d, one field less
+    for part, fold in ((sym.real, np.add), (sym.imag, np.subtract)):
+        x = rng.standard_normal(grid.size)
+        fold(x.reshape(grid.shape)[..., :m], x[mirror], out=part)
+        part *= weight
+        del x
     h4 = _h4(grid, sym)
     if h4 == 0.0:
         raise DegeneratePair("sampled field vanished; retry with a new draw")
@@ -258,12 +264,29 @@ def sample_ball(
     return spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
 
 
+def _drawn_ahead(draw: Callable[[], list[np.ndarray]], threaded: bool) -> Iterator[list[np.ndarray]]:
+    """draw(), again and again. Threaded, each draw runs on one background thread while the caller
+    works on the draw before it, and a draw's error is raised when its result is taken. Closing the
+    generator waits for the draw in flight, drops it and joins the thread."""
+    if not threaded:
+        while True:
+            yield draw()
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw)
+        while True:
+            taken, ahead = ahead.result(), pool.submit(draw)
+            yield taken
+
+
 def measure_contraction(
     ps: ProblemSpec, trials: int, seed: int, u0: RealField
 ) -> ContractionStats:
     """Sample iterate pairs in the ball and measure the Lipschitz ratio.
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
+    With more than one CPU, the next pair is drawn on a background thread while this thread
+    measures the current one. The draws take the one generator in the same order either way, so
+    the pairs, and every error's pair, do not depend on the CPU count.
     """
     check_value("run.trials", trials)
     check_value("run.seed", seed)
@@ -272,24 +295,29 @@ def measure_contraction(
     # the trim threshold (twice it), above one pair's temporaries: these are then reused on the heap, not
     # mapped, faulted in and unmapped per pair (about 250 minor faults per pair at d5n8 otherwise).
     np.empty(min(8 * grid.size, 1 << 21))
+
+    def draw() -> list[np.ndarray]:
+        return [sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2)]
+
     ratios: list[float] = []
     distances: list[float] = []
-    while len(ratios) < trials:
-        v1h, v2h = (sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2))
-        dist = _h4(grid, v1h - v2h)
-        if dist < 1e-14:
-            continue  # degenerate pair, resample
-        for vh in (v1h, v2h):
-            _check_ball(ps, _h4(grid, vh))
-        # each v is freed once g(u0 + v) is built
-        g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vh)), ps.interval)
-                  for vh in (v1h, v2h))
-        diff = spectral.dft(RealField(grid, g1.values - g2.values))
-        diff *= ps.multiplier
-        diff = _solve(ps, diff)
-        ratios.append(_h4(grid, diff) / dist)
-        del g1, g2, diff  # not kept alive through the next pair's draws
-        distances.append(dist)
+    with closing(_drawn_ahead(draw, spectral.CPUS > 1)) as pairs:
+        while len(ratios) < trials:
+            vhs = next(pairs)
+            dist = _h4(grid, vhs[0] - vhs[1])
+            if dist < 1e-14:
+                continue  # degenerate pair, resample
+            for i in (0, 1):
+                _check_ball(ps, _h4(grid, vhs[i]))
+            # each spectrum is freed once its v is built, and each v once g(u0 + v) is
+            g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vhs.pop(0))), ps.interval)
+                      for _ in range(2))
+            diff = spectral.dft(RealField(grid, g1.values - g2.values))
+            diff *= ps.multiplier
+            diff = _solve(ps, diff)
+            ratios.append(_h4(grid, diff) / dist)
+            del g1, g2, diff  # not kept alive through the next pair's draws
+            distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
     return ContractionStats(
         ratios=ratios,

@@ -19,6 +19,7 @@ and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -36,6 +37,7 @@ BLOCK = 1 << 16  # elements per pass of _weighted_norm; a smaller spectrum takes
 # thread, so the results do not depend on the number of workers.
 THREADED_POINTS = 1 << 20
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_nd_ffts, _nd_ffts_lock = 0, threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,32 @@ def _workers(spec: GridSpec) -> int:
     return CPUS if spec.size >= THREADED_POINTS else 1
 
 
+def nd_fft_count() -> int:
+    """nd-FFTs this process has made so far, on every thread."""
+    return _nd_ffts
+
+
+def _tally() -> None:
+    global _nd_ffts
+    with _nd_ffts_lock:  # a bare += can lose a count between two threads
+        _nd_ffts += 1
+
+
+# The only nd-FFTs of the package, so that the count misses none. Both go through the
+# attributes of scipy.fft, so that a profiler wrapping them there sees every call.
+def _r2c(x: np.ndarray, workers: int) -> np.ndarray:
+    _tally()
+    return fft.rfftn(x, workers=workers)
+
+
+def _c2r(x: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
+    _tally()
+    return fft.irfftn(x, s=shape, overwrite_x=True, workers=workers)
+
+
 def dft(f: RealField) -> np.ndarray:
     """Unnormalized half-spectrum DFT of f: forward_transform without phase or scale."""
-    return fft.rfftn(f.reshaped(), workers=_workers(f.spec))
+    return _r2c(f.reshaped(), _workers(f.spec))
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -90,9 +115,7 @@ def forward_transform(f: RealField) -> SpectralField:
 def inverse_transform(F: SpectralField) -> RealField:
     """Exact inverse of forward_transform; real by construction."""
     spec = F.spec
-    values = fft.irfftn(
-        F.coeffs * half_lattice(spec).to_dft, s=spec.shape, overwrite_x=True, workers=_workers(spec)
-    )
+    values = _c2r(F.coeffs * half_lattice(spec).to_dft, spec.shape, _workers(spec))
     return RealField(spec, values.reshape(-1))
 
 

@@ -8,11 +8,11 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import nfs
 from nfs import builders, fixedpoint, linear, pipeline, spectral
@@ -28,9 +28,9 @@ from nfs.fixedpoint import (
 )
 from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
-from nfs.errors import (AssumptionError, ConfigError, GridMismatch, IntervalExceeded, NonPositiveInput,
-                        OutsideBall, TrivialField)
-from nfs.nonlinearity import IntervalI, Nonlinearity
+from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
+                        NonPositiveInput, OutsideBall, TrivialField)
+from nfs.nonlinearity import IntervalI, Nonlinearity, compose
 from nfs.spectral import norm_h4, norm_l2
 
 
@@ -68,6 +68,7 @@ def _continuity(**changes):
         (lambda: _problem_spec(grid=GridSpec(2, 16, 2 * np.pi)), GridMismatch, "differs from problem grid"),
         (lambda: _problem_spec(rho=1.5), ConfigError, r"^run\.rho must lie in \(0, 1\], got 1.5$"),
         (lambda: _problem_spec(epsilon=-1.0), ConfigError, r"^run\.epsilon must be nonnegative, got -1.0$"),
+        (lambda: _problem_spec(epsilon=None), ConfigError, r"^run\.epsilon must be a number here, .* got None$"),
         (lambda: _contraction(0, 1), ConfigError, r"^run\.trials must be >= 1, got 0$"),
         (lambda: _contraction(3, -1), ConfigError, r"^run\.seed must be nonnegative, got -1$"),
         (lambda: _problem_spec(source=zeros_like(GridSpec(2, 8, 2 * np.pi))), TrivialField, "nontrivial"),
@@ -75,8 +76,8 @@ def _continuity(**changes):
         (lambda: _continuity(epsilon=0.25), AssumptionError, "shared epsilon"),
         (lambda: _continuity(), AssumptionError, "bounds snapshot"),
     ],
-    ids=["kernel-grid", "rho", "epsilon", "no-trials", "negative-seed", "trivial-source", "asymmetric-interval",
-         "unshared-epsilon", "no-snapshot"],
+    ids=["kernel-grid", "rho", "epsilon", "epsilon-auto", "no-trials", "negative-seed", "trivial-source",
+         "asymmetric-interval", "unshared-epsilon", "no-snapshot"],
 )
 def test_bad_arguments_raise_package_errors(build, error, match):
     with pytest.raises(error, match=match):
@@ -160,7 +161,7 @@ class TestSolveFixedPoint:
     def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
         # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
         # (inside linear.solve_linear); 1 checked composition per step and 1 for the last residual
-        calls = {"fft": 0, "solve": 0, "compose": 0}
+        calls = {"solve": 0, "compose": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -169,13 +170,12 @@ class TestSolveFixedPoint:
 
             return wrapper
 
-        for name in ("rfftn", "irfftn"):
-            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
         for module in (fixedpoint, linear):
             monkeypatch.setattr(module, "solve_linear_full", counted(solve_linear_full, "solve"))
         monkeypatch.setattr(fixedpoint, "compose", counted(fixedpoint.compose, "compose"))
+        ffts = spectral.nd_fft_count()
         k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
-        assert (calls["fft"], calls["solve"]) == (2 * k + 3, k + 1)
+        assert (spectral.nd_fft_count() - ffts, calls["solve"]) == (2 * k + 3, k + 1)
         assert calls["compose"] == k + 1
 
     def test_last_iterate_is_ball_checked(self, standard_scenario):
@@ -209,14 +209,11 @@ class TestSolveFixedPoint:
 
 
 class TestAssembleProblem:
-    def test_three_transforms(self, standard_scenario, monkeypatch):
+    def test_three_transforms(self, standard_scenario):
         # rfftn of f and of K, irfftn of u0^; ||u0||_H4 is read off u0^, not re-transformed
-        ps, calls = standard_scenario.ps, []
-        for name in ("rfftn", "irfftn"):
-            fn = getattr(scipy.fft, name)
-            monkeypatch.setattr(scipy.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        ps, ffts = standard_scenario.ps, spectral.nd_fft_count()
         ap = pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g)
-        assert len(calls) == 3
+        assert spectral.nd_fft_count() - ffts == 3
         assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
 
     def test_overflowing_source_names_u0_h4(self, standard_scenario):
@@ -295,6 +292,53 @@ class TestMeasureContraction:
         ps = dataclasses.replace(standard_scenario.ps, g=g)
         stats = measure_contraction(ps, trials=3, seed=4, u0=standard_scenario.u0)
         assert stats.ratios == [0.0, 0.0, 0.0]
+
+    @staticmethod
+    def _run(ps, u0, monkeypatch, cpus):
+        """max|u0 + v| of each composition made by 6 pairs on `cpus` CPUs, and the type of the error
+        that ended them (None if none). No thread outlives the call, whether it returns or raises."""
+        monkeypatch.setattr(spectral, "CPUS", cpus)
+        ranges = []
+
+        def recording(g, u0, v, interval):
+            ranges.append(float(np.max(np.abs(u0.values + v.values))))
+            return compose(g, u0, v, interval)
+
+        monkeypatch.setattr(fixedpoint, "compose", recording)
+        threads, error = threading.active_count(), None
+        try:
+            measure_contraction(ps, trials=6, seed=5, u0=u0)
+        except (IntervalExceeded, DegeneratePair) as e:
+            error = type(e)
+        assert threading.active_count() == threads
+        return ranges, error
+
+    def test_interval_failing_partway_fails_at_the_serial_pair(self, standard_scenario, monkeypatch):
+        ps, u0 = standard_scenario.ps, standard_scenario.u0
+        ranges, error = self._run(ps, u0, monkeypatch, 2)
+        assert error is None and ranges == self._run(ps, u0, monkeypatch, 1)[0]
+        # the first composition after pair 1 whose range exceeds every earlier one
+        k = next(i for i in range(4, len(ranges)) if ranges[i] > max(ranges[:i]) + 1e-6)
+        t = 0.5 * (max(ranges[:k]) + ranges[k])
+        ps = dataclasses.replace(ps, interval=IntervalI(-t, t))
+        for cpus in (1, 2):
+            made, error = self._run(ps, u0, monkeypatch, cpus)
+            assert (len(made), error) == (k + 1, IntervalExceeded)
+
+    def test_failed_draw_fails_when_its_pair_is_taken(self, standard_scenario, monkeypatch):
+        draws = []
+
+        def failing(grid, rho, rng):
+            draws.append(1)
+            if len(draws) == 5:
+                raise DegeneratePair("the first draw of the third pair")
+            return sample_ball_spectrum(grid, rho, rng)
+
+        monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", failing)
+        for cpus in (1, 2):
+            draws.clear()
+            made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch, cpus)
+            assert (len(made), error) == (4, DegeneratePair)  # both earlier pairs measured
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap and trim thresholds are glibc's")
     def test_pairs_reuse_the_heap(self):

@@ -12,11 +12,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfs import builders, pipeline
+from nfs import builders, pipeline, spectral
 from nfs.fixedpoint import measure_contraction, sample_ball, solve_fixed_point
 from nfs.grid import GridSpec
 from nfs.nonlinearity import Nonlinearity
@@ -196,33 +195,27 @@ def test_sample_ball_matches_reference_draw(standard_scenario):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def count_nd_ffts(monkeypatch):
-    """Record every numpy.fft / scipy.fft nd-transform call made from now on."""
-    calls = []
-    for module in (np.fft, scipy.fft):
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            fn = getattr(module, name)
-
-            def counted(*args, _fn=fn, **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-    return calls
+def count_nd_ffts():
+    """The number of nd-FFTs made from now on, as `spectral` counts them, on every thread."""
+    start = spectral.nd_fft_count()
+    return lambda: spectral.nd_fft_count() - start
 
 
-def test_fft_count_per_step(standard_scenario, monkeypatch):
+def test_fft_count_per_step(standard_scenario):
     """2 nd-FFTs per Picard step, 2 for the u0 solve and 1 for the last residual."""
-    calls = count_nd_ffts(monkeypatch)
+    made = count_nd_ffts()
     rep = solve_fixed_point(standard_scenario.ps)
     steps = len(rep.trace.step_h4)
     assert steps >= 3
-    assert len(calls) == 2 * steps + 2 + 1
+    assert made() == 2 * steps + 2 + 1
 
 
 def test_fft_count_per_contraction_pair(standard_scenario, monkeypatch):
-    """At most 3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference."""
-    calls = count_nd_ffts(monkeypatch)
-    stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
-    assert len(stats.ratios) == 10
-    assert len(calls) <= 3 * 10
+    """3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference.
+    Drawn inline or ahead on a second thread, the draws make none."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(spectral, "CPUS", cpus)
+        made = count_nd_ffts()
+        stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
+        assert len(stats.ratios) == 10
+        assert made() == 3 * 10

@@ -1,6 +1,8 @@
 """Transform, symbol, convolution, and norm tests against independent oracles."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,6 +150,28 @@ class TestThreadedTransforms:
         spec = GridSpec(5, n, 4.0)
         inverse_transform(forward_transform(RealField(spec, np.ones(spec.size))))
         assert seen == [expected, expected]
+
+
+def test_transform_count_loses_none_between_threads():
+    """8 threads, more than the cores, make 200 transforms each with a thread switch every microsecond."""
+    f = RealField(GridSpec(2, 4, 1.0), np.ones(16))
+
+    def transforms():
+        for _ in range(200):
+            inverse_transform(forward_transform(f))
+
+    threads = [threading.Thread(target=transforms) for _ in range(8)]
+    start, interval = spectral.nd_fft_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert spectral.nd_fft_count() - start == 8 * 200 * 2
 
 
 def times_symbol(F: SpectralField, symbol) -> SpectralField:

@@ -1,5 +1,8 @@
-"""The test session and the benchmark's traced runs, each run as its own command line."""
+"""The test session and the benchmark's traced runs, each run as its own command line, and a scan
+that keeps every nd-FFT of the package in `spectral`, where it is counted."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -46,3 +49,44 @@ def test_traced_benchmark_run_is_correct(prefix):
     assert run.returncode == 0, run.stderr
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, run.stderr
+
+
+ND_TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn", "hfftn", "ihfftn", "fft2", "ifft2", "rfft2", "irfft2",
+                 "hfft2", "ihfft2", "r2c", "c2r", "c2c"}  # of scipy.fft, numpy.fft and pocketfft
+
+
+def nd_transforms_named(path):
+    """Line numbers where the module at `path` names an nd transform (as an attribute, a name, a
+    string or an import) or imports pocketfft. 1-D helpers such as np.fft.fftfreq pass."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            words = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            pocketfft = any("pocketfft" in w for w in words)
+        else:
+            words = [getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)]
+            pocketfft = False
+        if pocketfft or {part for w in words if isinstance(w, str) for part in w.split(".")} & ND_TRANSFORMS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_nd_transforms_only_in_spectral():
+    modules = glob.glob(os.path.join(ROOT, "src", "nfs", "*.py"))
+    assert nd_transforms_named(os.path.join(ROOT, "src", "nfs", "spectral.py"))  # the scan sees real calls
+    named = {os.path.basename(m): nd_transforms_named(m) for m in modules if not m.endswith("spectral.py")}
+    assert named and not any(named.values()), named
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.fft\nscipy.fft.rfftn(x)\n",
+    "from numpy.fft import irfftn as inv\n",
+    "from scipy.fft._pocketfft import pypocketfft\n",
+    "import numpy as np\nf = getattr(np.fft, 'fftn')\n",
+])
+def test_scan_finds_a_direct_transform(source, tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert nd_transforms_named(str(path))
