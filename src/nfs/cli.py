@@ -29,8 +29,9 @@ CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
 # Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 8 held (kernel,
 # source, u0, the multiplier, four half-lattice arrays, the ball tables), at most 5 on the pair's thread
-# and 4.125 on the draw thread (README, "Environment variables"), rounded up.
-FIELDS = 18
+# and 4.125 on the draw thread, plus one pair spectrum (1.25) that the draw thread's allocator arena can
+# keep freed while the main thread peaks (README, "Environment variables"): 18.375, rounded up.
+FIELDS = 19
 
 
 def _fmt(x: float) -> str:

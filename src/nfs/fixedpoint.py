@@ -22,10 +22,9 @@ quantities.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -264,29 +263,15 @@ def sample_ball(
     return spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
 
 
-def _drawn_ahead(draw: Callable[[], list[np.ndarray]], threaded: bool) -> Iterator[list[np.ndarray]]:
-    """draw(), again and again. Threaded, each draw runs on one background thread while the caller
-    works on the draw before it, and a draw's error is raised when its result is taken. Closing the
-    generator waits for the draw in flight, drops it and joins the thread."""
-    if not threaded:
-        while True:
-            yield draw()
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(draw)
-        while True:
-            taken, ahead = ahead.result(), pool.submit(draw)
-            yield taken
-
-
 def measure_contraction(
     ps: ProblemSpec, trials: int, seed: int, u0: RealField
 ) -> ContractionStats:
     """Sample iterate pairs in the ball and measure the Lipschitz ratio.
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn.
-    With more than one CPU, the next pair is drawn on a background thread while this thread
-    measures the current one. The draws take the one generator in the same order either way, so
-    the pairs, and every error's pair, do not depend on the CPU count.
+    The next pair is drawn on one background thread while this thread measures the current one.
+    The draws take the one generator in order, so the pairs are those of a serial loop; a draw's
+    error is raised when its pair is taken, and the thread is joined on return and on raise.
     """
     check_value("run.trials", trials)
     check_value("run.seed", seed)
@@ -301,9 +286,10 @@ def measure_contraction(
 
     ratios: list[float] = []
     distances: list[float] = []
-    with closing(_drawn_ahead(draw, spectral.CPUS > 1)) as pairs:
+    with ThreadPoolExecutor(1) as pool:  # leaving the block waits for the draw in flight
+        ahead = pool.submit(draw)
         while len(ratios) < trials:
-            vhs = next(pairs)
+            vhs, ahead = ahead.result(), pool.submit(draw)
             dist = _h4(grid, vhs[0] - vhs[1])
             if dist < 1e-14:
                 continue  # degenerate pair, resample

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfs import builders, cli, spectral
+from nfs import builders, cli
 from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
@@ -409,15 +409,6 @@ class TestCli:
         csv1 = (tmp_path / "a" / "contraction.csv").read_bytes()
         csv2 = (tmp_path / "b" / "contraction.csv").read_bytes()
         assert csv1 == csv2
-
-    def test_contraction_same_on_one_cpu_and_two(self, cfg_path, tmp_path, monkeypatch):
-        # two CPUs draw each next pair on a background thread; one draws it inline
-        csvs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(spectral, "CPUS", cpus)
-            assert run_cli(["contraction", "--config", cfg_path, "--out", str(tmp_path / str(cpus))]) == 0
-            csvs.append((tmp_path / str(cpus) / "contraction.csv").read_bytes())
-        assert csvs[0] == csvs[1]
 
     def test_contraction_seed_changes_draws(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

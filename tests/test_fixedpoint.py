@@ -294,10 +294,9 @@ class TestMeasureContraction:
         assert stats.ratios == [0.0, 0.0, 0.0]
 
     @staticmethod
-    def _run(ps, u0, monkeypatch, cpus):
-        """max|u0 + v| of each composition made by 6 pairs on `cpus` CPUs, and the type of the error
-        that ended them (None if none). No thread outlives the call, whether it returns or raises."""
-        monkeypatch.setattr(spectral, "CPUS", cpus)
+    def _run(ps, u0, monkeypatch):
+        """max|u0 + v| of each composition made by 6 pairs, and the type of the error that ended them
+        (None if none). No thread outlives the call, whether it returns or raises."""
         ranges = []
 
         def recording(g, u0, v, interval):
@@ -315,15 +314,15 @@ class TestMeasureContraction:
 
     def test_interval_failing_partway_fails_at_the_serial_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0
-        ranges, error = self._run(ps, u0, monkeypatch, 2)
-        assert error is None and ranges == self._run(ps, u0, monkeypatch, 1)[0]
+        rng = np.random.default_rng(5)  # the 12 draws of a serial loop, in order
+        serial = [float(np.max(np.abs(u0.values + sample_ball(ps.grid, ps.rho, rng).values))) for _ in range(12)]
+        ranges, error = self._run(ps, u0, monkeypatch)
+        assert error is None and ranges == serial
         # the first composition after pair 1 whose range exceeds every earlier one
         k = next(i for i in range(4, len(ranges)) if ranges[i] > max(ranges[:i]) + 1e-6)
         t = 0.5 * (max(ranges[:k]) + ranges[k])
-        ps = dataclasses.replace(ps, interval=IntervalI(-t, t))
-        for cpus in (1, 2):
-            made, error = self._run(ps, u0, monkeypatch, cpus)
-            assert (len(made), error) == (k + 1, IntervalExceeded)
+        made, error = self._run(dataclasses.replace(ps, interval=IntervalI(-t, t)), u0, monkeypatch)
+        assert (made, error) == (serial[: k + 1], IntervalExceeded)
 
     def test_failed_draw_fails_when_its_pair_is_taken(self, standard_scenario, monkeypatch):
         draws = []
@@ -335,10 +334,8 @@ class TestMeasureContraction:
             return sample_ball_spectrum(grid, rho, rng)
 
         monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", failing)
-        for cpus in (1, 2):
-            draws.clear()
-            made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch, cpus)
-            assert (len(made), error) == (4, DegeneratePair)  # both earlier pairs measured
+        made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch)
+        assert (len(made), error) == (4, DegeneratePair)  # both earlier pairs measured
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap and trim thresholds are glibc's")
     def test_pairs_reuse_the_heap(self):
