@@ -210,12 +210,10 @@ def test_fft_count_per_step(standard_scenario):
     assert made() == 2 * steps + 2 + 1
 
 
-def test_fft_count_per_contraction_pair(standard_scenario, monkeypatch):
+def test_fft_count_per_contraction_pair(standard_scenario):
     """3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference.
-    Drawn inline or ahead on a second thread, the draws make none."""
-    for cpus in (1, 2):
-        monkeypatch.setattr(spectral, "CPUS", cpus)
-        made = count_nd_ffts()
-        stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
-        assert len(stats.ratios) == 10
-        assert made() == 3 * 10
+    The draws, made ahead on a second thread, make none."""
+    made = count_nd_ffts()
+    stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
+    assert len(stats.ratios) == 10
+    assert made() == 3 * 10
