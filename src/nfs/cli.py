@@ -27,11 +27,12 @@ from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 8 held (kernel,
-# source, u0, the multiplier, four half-lattice arrays, the ball tables), at most 5 on the pair's thread
-# and 4.125 on the draw thread, plus one pair spectrum (1.25) that the draw thread's allocator arena can
-# keep freed while the main thread peaks (README, "Environment variables"): 18.375, rounded up.
-FIELDS = 19
+# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.83 held (kernel,
+# source, u0, the multiplier, two float half-lattice arrays and the int8 phase, the ball tables), at most 5
+# on the pair's thread and 4.125 on the draw thread, plus one pair spectrum (1.25) that the draw thread's
+# allocator arena can keep freed while the main thread peaks (README, "Environment variables"): 17.2,
+# rounded up.
+FIELDS = 18
 
 
 def _fmt(x: float) -> str:
@@ -140,7 +141,7 @@ def cmd_solve_linear(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_solve(cfg: RunConfig, out: str) -> int:
-    ps = _assemble(cfg).ps  # the assembled u0 is freed: the solve computes its own
+    ps = _assemble(cfg).ps  # the solve computes its own u0
     report = solve_fixed_point(ps)
     write_field(os.path.join(out, "u.nfs1"), report.u)
     tr = report.trace

@@ -40,9 +40,12 @@ class C2Report:
 
 
 def _horner(asc: np.ndarray, z) -> np.ndarray:
-    """Evaluate the polynomial with ascending coefficients `asc` at z, in place."""
-    out = np.full(np.shape(z), asc[-1])
-    for c in asc[-2::-1]:
+    """Evaluate the polynomial with ascending coefficients `asc` at z, in place after z * a_J."""
+    if len(asc) == 1:
+        return np.full(np.shape(z), asc[0])
+    out = z * asc[-1]
+    out += asc[-2]
+    for c in asc[-3::-1]:
         out *= z
         out += c
     return out
@@ -108,15 +111,17 @@ def compose(
     u0: RealField,
     v: RealField,
     interval: IntervalI | None = None,
+    overwrite_v: bool = False,
 ) -> RealField:
     """Pointwise G(x) = g(u0(x) + v(x)), with certified-interval enforcement.
 
     Values outside the interval by more than a tiny slack indicate that the
     iterate left the ball or that the embedding constant is loose; this is an
-    error, never a silent clamp.
+    error, never a silent clamp. With `overwrite_v`, u0 + v is formed in v's
+    buffer, which then no longer holds v.
     """
     check_same_grid(u0, v)
-    z = u0.values + v.values
+    z = np.add(u0.values, v.values, out=v.values if overwrite_v else None)
     if interval is not None:
         lo, hi = np.min(z), np.max(z)
         if lo < interval.lower - INTERVAL_SLACK or hi > interval.upper + INTERVAL_SLACK:

@@ -2,13 +2,15 @@
 
 The dependency order matters: the threshold formula needs ||u0||_H4, so the
 linear problem is solved before any constant is evaluated. `epsilon=None`
-("auto") resolves to the certified maximum.
+("auto") resolves to the certified maximum. The real u0 is built only when it
+is read: the constants need only its spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import spectral
@@ -16,16 +18,20 @@ from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
 from .errors import NonPositiveInput
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
-from .linear import solve_linear_full
+from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_norm
 
 
 @dataclass
 class AssembledProblem:
     ps: ProblemSpec
-    u0: RealField
     interval: IntervalI
     snapshot: BoundsSnapshot
+
+    @cached_property
+    def u0(self) -> RealField:
+        """The linear solution, solved on first read (2 nd-FFTs); solve computes its own."""
+        return solve_linear(self.ps.source, self.ps.project_mean)
 
 
 def assemble_problem(
@@ -40,7 +46,7 @@ def assemble_problem(
     project_mean: bool = False,
     g_other: Optional[Nonlinearity] = None,
 ) -> AssembledProblem:
-    """Solve u0, derive all constants, and build the ProblemSpec.
+    """Solve u0^, derive all constants, and build the ProblemSpec.
 
     When `g_other` is given (continuity experiments), the snapshot's C2 bound
     covers both nonlinearities, so the certified range is valid for either.
@@ -71,5 +77,4 @@ def assemble_problem(
         max_iter=max_iter,
         project_mean=project_mean,
     )
-    u0 = spectral.inverse_transform(u0h)
-    return AssembledProblem(ps=ps, u0=u0, interval=interval, snapshot=snapshot)
+    return AssembledProblem(ps=ps, interval=interval, snapshot=snapshot)

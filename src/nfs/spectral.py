@@ -14,6 +14,11 @@ together with its conjugate partner: 1 on the self-conjugate planes k = 0
 and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
 
     ||f||_{L2}^2 = (dp)^d * sum_k w_k |coeff(k)|^2.
+
+The phase is +-1, so a spectrum can also be held folded, as phase * coeff =
+scale * DFT: the phase flips signs exactly, so every |coeff|^2, and with it every
+norm, is bitwise the same, and the transforms of a folded spectrum need only the
+scalar scale. The Picard loop works on folded spectra.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ class HalfLattice:
     symbol: np.ndarray  # |p_k|^2 + |p_k|^4, zero mode set to 1 (callers drop it)
     hermitian: np.ndarray  # w_k along the last axis, broadcastable
     h4_weight: np.ndarray  # w_k (1 + |p_k|^8)
-    to_coeffs: np.ndarray  # phase * scale: rfftn output -> calibrated coefficients
-    to_dft: np.ndarray  # phase / scale: calibrated coefficients -> irfftn input
+    phase: np.ndarray  # (-1)^(k_1 + ... + k_d) as int8: an eighth of a float table
+    scale: float  # (dx)^d (2 pi)^(-d/2): coeff = phase * scale * DFT
 
 
 def p2(spec: GridSpec) -> np.ndarray:
@@ -60,16 +65,16 @@ def p2(spec: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=4)
 def half_lattice(spec: GridSpec) -> HalfLattice:
     """The grid's half-lattice arrays, built once and read-only: every caller shares them."""
-    q, phase = p2(spec), reduce(np.multiply.outer, [(-1.0) ** np.arange(m) for m in spec.half_shape])
+    q = p2(spec)
+    phase = reduce(np.multiply.outer, [np.resize(np.int8([1, -1]), m) for m in spec.half_shape])
     symbol = q + q**2
     symbol[(0,) * spec.d] = 1.0
     hermitian = np.full(spec.half_shape[-1], 2.0)
     hermitian[[0, -1]] = 1.0
-    scale = spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0)
-    arrays = (symbol, hermitian, hermitian * (1.0 + q**4), phase * scale, phase / scale)
+    arrays = (symbol, hermitian, hermitian * (1.0 + q**4), phase)
     for a in arrays:
         a.flags.writeable = False
-    return HalfLattice(*arrays)
+    return HalfLattice(*arrays, scale=spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0))
 
 
 def _workers(spec: GridSpec) -> int:
@@ -105,18 +110,32 @@ def dft(f: RealField) -> np.ndarray:
     return _r2c(f.reshaped(), _workers(f.spec))
 
 
+def forward_folded(f: RealField) -> np.ndarray:
+    """Folded half spectrum of f, scale * dft(f): forward_transform without the phase."""
+    coeffs = dft(f)
+    coeffs *= half_lattice(f.spec).scale
+    return coeffs
+
+
+def inverse_folded(spec: GridSpec, coeffs: np.ndarray) -> RealField:
+    """The field whose folded half spectrum is `coeffs`; `coeffs` itself is left as it is."""
+    values = _c2r(coeffs * (1.0 / half_lattice(spec).scale), spec.shape, _workers(spec))
+    return RealField(spec, values.reshape(-1))
+
+
 def forward_transform(f: RealField) -> SpectralField:
     """Quadrature approximation of the continuum unitary Fourier transform."""
-    coeffs = dft(f)
-    coeffs *= half_lattice(f.spec).to_coeffs
+    coeffs = forward_folded(f)
+    coeffs *= half_lattice(f.spec).phase
     return SpectralField(f.spec, coeffs)
 
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Exact inverse of forward_transform; real by construction."""
-    spec = F.spec
-    values = _c2r(F.coeffs * half_lattice(spec).to_dft, spec.shape, _workers(spec))
-    return RealField(spec, values.reshape(-1))
+    lattice = half_lattice(F.spec)
+    dft_in = F.coeffs * lattice.phase
+    dft_in *= 1.0 / lattice.scale
+    return RealField(F.spec, _c2r(dft_in, F.spec.shape, _workers(F.spec)).reshape(-1))
 
 
 def convolve(k: RealField, g: RealField) -> RealField:
@@ -162,9 +181,10 @@ def norm_l2_spectral(F: SpectralField) -> float:
 def norm_h4(f: RealField) -> float:
     """Two-term Sobolev norm (||f||_{L2}^2 + ||lap^2 f||_{L2}^2)^(1/2).
 
-    The bi-Laplacian part is evaluated spectrally through the |p|^8 weight.
+    The bi-Laplacian part is evaluated spectrally through the |p|^8 weight, on the
+    folded spectrum: the phase drops out of |coeff|^2.
     """
-    return norm_h4_spectral(forward_transform(f))
+    return norm_h4_spectral(SpectralField(f.spec, forward_folded(f)))
 
 
 def norm_h4_spectral(F: SpectralField) -> float:

@@ -210,10 +210,15 @@ class TestSolveFixedPoint:
 
 class TestAssembleProblem:
     def test_three_transforms(self, standard_scenario):
-        # rfftn of f and of K, irfftn of u0^; ||u0||_H4 is read off u0^, not re-transformed
+        # rfftn of f and of K; ||u0||_H4 is read off u0^, not re-transformed, and the real u0 is solved
+        # (rfftn, irfftn) on its first read only
         ps, ffts = standard_scenario.ps, spectral.nd_fft_count()
         ap = pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g)
-        assert spectral.nd_fft_count() - ffts == 3
+        assert spectral.nd_fft_count() - ffts == 2
+        u0 = ap.u0
+        assert spectral.nd_fft_count() - ffts == 4
+        assert ap.u0 is u0 and spectral.nd_fft_count() - ffts == 4
+        assert np.array_equal(u0.values, solve_linear(ps.source, ps.project_mean).values)
         assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
 
     def test_overflowing_source_names_u0_h4(self, standard_scenario):

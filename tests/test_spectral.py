@@ -131,11 +131,14 @@ class TestThreadedTransforms:
         # workers=2 explicitly, so that a 1-CPU machine exercises the threaded path too
         assert np.array_equal(scipy.fft.rfftn(f.reshaped(), workers=2), serial)
         assert np.array_equal(spectral.dft(f), serial)
-        F = forward_transform(f)
-        to_dft = spectral.half_lattice(spec).to_dft
-        serial = scipy.fft.irfftn(F.coeffs * to_dft, s=spec.shape, workers=1)
-        assert np.array_equal(scipy.fft.irfftn(F.coeffs * to_dft, s=spec.shape, workers=2), serial)
+        F, lattice = forward_transform(f), spectral.half_lattice(spec)
+        dft_in = F.coeffs * lattice.phase * (1.0 / lattice.scale)
+        serial = scipy.fft.irfftn(dft_in, s=spec.shape, workers=1)
+        assert np.array_equal(scipy.fft.irfftn(dft_in, s=spec.shape, workers=2), serial)
         assert np.array_equal(inverse_transform(F).reshaped(), serial)
+        folded = spectral.forward_folded(f)
+        serial = scipy.fft.irfftn(folded * (1.0 / lattice.scale), s=spec.shape, workers=1)
+        assert np.array_equal(spectral.inverse_folded(spec, folded).reshaped(), serial)
 
     @pytest.mark.parametrize("n, expected", [(8, 1), (16, allowed_cpus())])
     def test_workers_follow_grid_size(self, monkeypatch, n, expected):
@@ -189,9 +192,30 @@ class TestHalfLattice:
             for k in idx:
                 want_p2[idx] += pk[k] ** 2
                 want_phase[idx] *= (-1.0) ** k
-        scale = spec.spacing**d * (2.0 * np.pi) ** (-d / 2.0)
+        lattice = spectral.half_lattice(spec)
         assert np.array_equal(spectral.p2(spec), want_p2)
-        assert np.array_equal(spectral.half_lattice(spec).to_coeffs, want_phase * scale)
+        assert lattice.phase.dtype == np.int8 and np.array_equal(lattice.phase, want_phase)
+        assert lattice.scale == spec.spacing**d * (2.0 * np.pi) ** (-d / 2.0)
+
+    @pytest.mark.parametrize("d, n", [(5, 8), (3, 16)])
+    def test_no_full_size_float_phase_or_scale_table(self, d, n):
+        """Two float half-lattice arrays (symbol, H4 weight), the int8 phase and the last-axis vector."""
+        spec = GridSpec(d, n, 2.0)
+        lattice = spectral.half_lattice(spec)
+        arrays = [a for a in vars(lattice).values() if isinstance(a, np.ndarray)]
+        half = int(np.prod(spec.half_shape))
+        assert sum(a.nbytes for a in arrays) <= 2 * 8 * half + half + 8 * spec.half_shape[-1]
+        assert [a for a in arrays if a.dtype == np.int8] == [lattice.phase]
+
+    @pytest.mark.parametrize("spec", [GridSpec(5, 8, 4 * np.pi), GridSpec(3, 16, 2.0)], ids=["d5n8", "d3n16"])
+    def test_folded_spectrum_is_the_phase_times_the_coefficients(self, spec):
+        """A sign flip is exact: the folded spectrum, its inverse and its norm match the unfolded ones bitwise."""
+        f = smooth_random_field(spec, seed=4)
+        F, lattice = forward_transform(f), spectral.half_lattice(spec)
+        folded = spectral.forward_folded(f)
+        assert np.array_equal(folded, F.coeffs * lattice.phase)
+        assert np.array_equal(spectral.inverse_folded(spec, folded).values, inverse_transform(F).values)
+        assert norm_h4(f) == spectral.norm_h4_spectral(F)
 
 
 class TestApplySymbol:
