@@ -27,11 +27,10 @@ from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.83 held (kernel,
-# source, u0, the multiplier, two float half-lattice arrays and the int8 phase, the ball tables), at most 5
-# on the pair's thread and 4.125 on the draw thread, plus one pair spectrum (1.25) that the draw thread's
-# allocator arena can keep freed while the main thread peaks (README, "Environment variables"): 17.2,
-# rounded up.
+# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.95 held (kernel,
+# source, u0, the multiplier, the H4 weight, the int8 phase, |p|^2 per row, a |p|^2 tile of one block, which is
+# the whole half lattice up to 2^16 modes, the ball tables), at most 5 on the pair's thread, 4.125 on the draw
+# thread and one pair spectrum (1.25) its arena can keep freed (README, "Environment variables"): 17.3, rounded up.
 FIELDS = 18
 
 

@@ -6,18 +6,17 @@ The auxiliary map sends v to the solution u of
 
 a strict contraction on the closed ball of radius rho in H4 whenever the
 coupling eps stays below the certified threshold. The iterate is kept as its
-folded half spectrum (phase * coefficients, see `spectral`), and a step is one
-inverse transform (irfftn), the pointwise g, one forward transform (rfftn) and
-a multiply by the fixed spectral multiplier eps (2 pi)^(d/2) K^ / (|p|^2 + |p|^4),
-which carries the phase that folds the spectrum. Every eps K conv g(u0 + v) is taken on
-one path, after the ball and the interval checks: every step's, apply_tg's and
-the one for the last iterate's residual, so the returned u is checked like any
-other iterate. eps = 0 needs no special case: the multiplier is then 0, and the
-solve of an all-zero spectrum is zero. Norms and the residual are read off
-spectra already in hand. A contraction pair keeps both draws as spectra too:
-2 irfftn for the compositions and 1 rfftn of their difference. The iteration
-is plain (no acceleration): its geometric decay is itself one of the measured
-quantities.
+folded half spectrum (see `spectral`), and a step is one irfftn, the pointwise g,
+one rfftn, a multiply by the fixed eps (2 pi)^(d/2) K^, which carries the phase
+that folds the spectrum, and a blocked divide by |p|^2 + |p|^4. Every
+eps K conv g(u0 + v) is taken on one path, after the ball and the interval checks
+(every step's, apply_tg's and the last iterate's), so the returned u is checked
+like any other iterate. eps = 0 needs no special case: the multiplier is then 0,
+and the solve of an all-zero spectrum is zero. One blocked pass per step reads the
+residual, the step norm and the iterate norm off spectra already in hand. A
+contraction pair keeps both draws as spectra: 2 irfftn for the compositions and
+1 rfftn of their difference. The iteration is plain (no acceleration): its
+geometric decay is itself one of the measured quantities.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ class ProblemSpec:
     tol_fp: float = 1e-10
     max_iter: int = 200
     project_mean: bool = False
-    lattice: spectral.HalfLattice = field(init=False, repr=False, compare=False)
     # eps (2 pi)^(d/2) K^ times scale: times dft(G), the folded spectrum of eps K conv G
     multiplier: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -71,12 +69,11 @@ class ProblemSpec:
         check_value("run.epsilon", self.epsilon)
         if not np.any(self.kernel.values) or not np.any(self.source.values):
             raise TrivialField("kernel and source must be nontrivial")
-        self.lattice = spectral.half_lattice(self.grid)
         kh = spectral.forward_transform(self.kernel).coeffs
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
-        # the heap grows past them (peak RSS 243 -> 263 MB at d7n8, 147 -> 156 MB at d5n16)
-        self.multiplier = coupling * kh * self.lattice.scale
+        # the heap grows past them (peak RSS 215 -> 235 MB at d7n8, 134 -> 143 MB at d5n16)
+        self.multiplier = coupling * kh * spectral.half_lattice(self.grid).scale
 
     @property
     def certified(self) -> bool:
@@ -128,13 +125,15 @@ def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
 def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float, overwrite_v: bool) -> np.ndarray:
     """Folded half spectrum of eps K conv g(u0 + v), after the ball and the interval checks.
 
-    It is dft(G) times the multiplier, so at eps = 0 it is all zero. G is freed on return,
+    It is dft(G) times the multiplier, zero mode dropped (as the mean-projected solve and the
+    residual drop it), so at eps = 0 it is all zero. G is freed on return,
     before a caller's solve allocates (one real field less at the peak). With `overwrite_v`,
     u0 + v is formed in v's buffer.
     """
     _check_ball(ps, v_h4)
     conv = spectral.dft(compose(ps.g, u0, v, ps.interval, overwrite_v=overwrite_v))
     conv *= ps.multiplier
+    conv[(0,) * ps.grid.d] = 0.0
     return conv
 
 
@@ -146,15 +145,27 @@ def _solve(ps: ProblemSpec, conv: np.ndarray) -> np.ndarray:
     return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
 
 
-def _residual(ps: ProblemSpec, vh: np.ndarray, conv: np.ndarray) -> float:
-    """L2 norm of eps (2 pi)^(d/2) K^ G^ - (|p|^2 + |p|^4) v^, zero mode dropped
-    (off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding, so it is left out).
-    `conv` is overwritten with the residual's spectrum."""
-    slabs = (a.reshape(len(a), -1) for a in (conv, ps.lattice.symbol, vh))
-    for out, s, v in zip(*slabs):  # one axis-0 slab at a time
-        out -= s * v
-    conv[(0,) * ps.grid.d] = 0.0
-    return spectral.norm_l2_spectral(SpectralField(ps.grid, conv))
+def _weighted_sum(x: np.ndarray, w: np.ndarray) -> float:  # each term as spectral's norms form it
+    mag2 = np.square(x.real)
+    mag2 += np.square(x.imag)
+    mag2 *= w
+    return float(np.sum(mag2))
+
+
+def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tuple[float, float, float]:
+    """One blocked pass: the L2 norm of conv - (|p|^2 + |p|^4) vh, iterate vh's residual (conv and a solve's
+    vh have no zero mode; off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding), ||vh_next - vh||_H4 and
+    ||vh_next||_H4, each 0 when not asked for. The residual is formed in conv, the difference in vh."""
+    lattice, sums = spectral.half_lattice(grid), np.zeros(3)
+    for symbol, v, r, nxt, h4 in spectral.symbol_blocks(grid, vh, conv, vh_next, lattice.h4_weight):
+        if r is not None:
+            r.real -= symbol * v.real  # the numbers of symbol * v, through real block temporaries
+            r.imag -= symbol * v.imag
+            sums[0] += _weighted_sum(r, lattice.hermitian)
+        if nxt is not None:
+            sums[1] += _weighted_sum(np.subtract(nxt, v, out=v), h4)
+            sums[2] += _weighted_sum(nxt, h4)
+    return tuple(map(float, np.sqrt(grid.freq_spacing() ** grid.d * sums)))
 
 
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
@@ -184,12 +195,11 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         conv = _checked_conv(ps, u0, v, v_h4, overwrite_v=True)
         del v
         vh_next = _solve(ps, conv)
-        if trace.step_h4:  # the previous iterate's residual, from this step's G
-            trace.residual.append(_residual(ps, vh, conv))
-        del conv
         prev = trace.step_h4[-1] if trace.step_h4 else None
-        step = _h4(grid, vh_next - vh)
-        v_h4 = _h4(grid, vh_next)
+        res, step, v_h4 = _step_norms(grid, vh, conv if prev is not None else None, vh_next)
+        del conv
+        if prev is not None:  # the previous iterate's residual, from this step's G
+            trace.residual.append(res)
         if not np.isfinite(v_h4):  # inf <= tol_fp * inf would pass as converged
             raise Diverged(f"iterate {len(trace.step_h4)} has ||v||_H4 = {v_h4}")
         trace.iterate_h4.append(v_h4)
@@ -206,7 +216,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
     v = spectral.inverse_folded(grid, vh)
     # v is kept for the report; u is built after G^, so G and u are not alive at once
-    trace.residual.append(_residual(ps, vh, _checked_conv(ps, u0, v, v_h4, overwrite_v=False)))
+    trace.residual.append(_step_norms(grid, vh, _checked_conv(ps, u0, v, v_h4, overwrite_v=False))[0])
     return SolveReport(u0=u0, u_p=v, u=RealField(grid, u0.values + v.values), trace=trace)
 
 

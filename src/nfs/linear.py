@@ -52,7 +52,9 @@ def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField
                 f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
                 f"||f||_L2 = {tol * l2:.3e}; use run.mean_policy = project, or project=True"
             )
-    coeffs = fh.coeffs / spectral.half_lattice(fh.spec).symbol
+    coeffs = np.empty(fh.spec.half_shape, complex)
+    for symbol, rhs, out in spectral.symbol_blocks(fh.spec, fh.coeffs, coeffs):  # no full-size symbol
+        np.divide(rhs, symbol, out=out)
     coeffs[zero] = 0.0
     return SpectralField(fh.spec, coeffs)
 

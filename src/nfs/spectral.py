@@ -18,7 +18,10 @@ and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
 The phase is +-1, so a spectrum can also be held folded, as phase * coeff =
 scale * DFT: the phase flips signs exactly, so every |coeff|^2, and with it every
 norm, is bitwise the same, and the transforms of a folded spectrum need only the
-scalar scale. The Picard loop works on folded spectra.
+scalar scale. The Picard loop works on folded spectra. The H4 weight is the one
+full-size float table kept per grid: blocked passes view a half spectrum as (rows,
+last axis) and form |p|^2 on a block of rows from a row part and a last-axis part,
+the last step of p2's fold, so bitwise p2's value.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from scipy import fft
 from .grid import GridSpec, RealField, SpectralField, check_same_grid
 
 SHELL = 0.1  # relative thickness of the outer shell of the box
-BLOCK = 1 << 16  # elements per pass of _weighted_norm; a smaller spectrum takes one pass
+BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,480 modes) takes one
 # An nd-FFT is threaded only from this many points up. On 2 cores, two workers
 # took 0.6-0.8x the time of one at 2^20 and 2^21 points in every measurement,
 # but 1.25-1.9x at 2^15 and 2^16 (contraction's 32K-point fields), and
@@ -47,12 +50,13 @@ _nd_ffts, _nd_ffts_lock = 0, threading.Lock()
 
 @dataclass(frozen=True)
 class HalfLattice:
-    """Per-grid multipliers on the half lattice, in rfftn layout."""
+    """Per-grid arrays on the half lattice, in rfftn layout."""
 
-    symbol: np.ndarray  # |p_k|^2 + |p_k|^4, zero mode set to 1 (callers drop it)
     hermitian: np.ndarray  # w_k along the last axis, broadcastable
     h4_weight: np.ndarray  # w_k (1 + |p_k|^8)
     phase: np.ndarray  # (-1)^(k_1 + ... + k_d) as int8: an eighth of a float table
+    rows_p2: np.ndarray  # |p_k|^2 over the first d - 1 axes, one value per row of the last axis
+    tile: np.ndarray  # |p_k|^2 of the last axis, one row per row of a block
     scale: float  # (dx)^d (2 pi)^(-d/2): coeff = phase * scale * DFT
 
 
@@ -65,16 +69,32 @@ def p2(spec: GridSpec) -> np.ndarray:
 @lru_cache(maxsize=4)
 def half_lattice(spec: GridSpec) -> HalfLattice:
     """The grid's half-lattice arrays, built once and read-only: every caller shares them."""
-    q = p2(spec)
-    phase = reduce(np.multiply.outer, [np.resize(np.int8([1, -1]), m) for m in spec.half_shape])
-    symbol = q + q**2
-    symbol[(0,) * spec.d] = 1.0
-    hermitian = np.full(spec.half_shape[-1], 2.0)
-    hermitian[[0, -1]] = 1.0
-    arrays = (symbol, hermitian, hermitian * (1.0 + q**4), phase)
+    pk, m = spec.axis_freqs(), spec.half_shape[-1]
+    rows_p2 = reduce(np.add.outer, [pk[:k] ** 2 for k in spec.half_shape[:-1]], np.zeros(1)).reshape(-1)
+    tile = np.tile(pk[:m] ** 2, (min(len(rows_p2), max(1, BLOCK // m)), 1))
+    phase = reduce(np.multiply.outer, [np.resize(np.int8([1, -1]), k) for k in spec.half_shape])
+    hermitian = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
+    h4_weight = rows_p2[:, None] + tile[0]  # |p|^2, then the weight in place: no full-size temporary
+    h4_weight **= 4  # q**4, not (q**2)**2: that differs in the last bit
+    h4_weight += 1.0
+    h4_weight *= hermitian
+    arrays = (hermitian, h4_weight.reshape(spec.half_shape), phase, rows_p2, tile)
     for a in arrays:
         a.flags.writeable = False
     return HalfLattice(*arrays, scale=spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0))
+
+
+def symbol_blocks(spec: GridSpec, *arrays: np.ndarray | None):
+    """Per block of rows of the half lattice viewed as (rows, last axis): |p_k|^2 + |p_k|^4 on the
+    block, zero mode set to 1 (callers drop it), then each half-lattice array's block (None stays None)."""
+    rows_p2, tile = half_lattice(spec).rows_p2, half_lattice(spec).tile
+    views = [a if a is None else a.reshape(len(rows_p2), -1) for a in arrays]
+    for i in range(0, len(rows_p2), len(tile)):
+        q = rows_p2[i : i + len(tile), None] + tile[: len(rows_p2) - i]  # the last block may be short
+        q += np.square(q)
+        if i == 0:
+            q[0, 0] = 1.0
+        yield q, *(a if a is None else a[i : i + len(q)] for a in views)
 
 
 def _workers(spec: GridSpec) -> int:

@@ -26,7 +26,7 @@ from nfs.fixedpoint import (
     sample_ball_spectrum,
     solve_fixed_point,
 )
-from nfs.grid import GridSpec, RealField, zeros_like
+from nfs.grid import GridSpec, RealField, SpectralField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
                         NonPositiveInput, OutsideBall, TrivialField)
@@ -206,6 +206,28 @@ class TestSolveFixedPoint:
         small = solve_fixed_point(dataclasses.replace(ps, epsilon=ps.epsilon / 4))
         assert norm_h4(small.u_p) < norm_h4(big.u_p)
         assert norm_h4(small.u_p) == pytest.approx(norm_h4(big.u_p) / 4, rel=0.05)
+
+
+class TestStepNorms:
+    @pytest.mark.parametrize("d, n", [(5, 16), (5, 8)], ids=["d5n16-ten-blocks", "d5n8-one-block"])
+    def test_one_pass_matches_the_norms_of_the_spectra(self, d, n):
+        """The residual, step and iterate norms of one blocked pass, against the full-spectrum norms of
+        the residual conv - (|p|^2 + |p|^4) vh, of vh_next - vh and of vh_next."""
+        grid, rng = GridSpec(d, n, 4.0 * np.pi), np.random.default_rng(7)
+        vh, vh_next, conv = (rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+                             for _ in range(3))
+        vh[(0,) * d] = conv[(0,) * d] = 0.0  # as a solve's output and _checked_conv's are
+        p2 = spectral.p2(grid)
+        res = conv - (p2 + p2**2) * vh
+        want = (spectral.norm_l2_spectral(SpectralField(grid, res)),
+                spectral.norm_h4_spectral(SpectralField(grid, vh_next - vh)),
+                spectral.norm_h4_spectral(SpectralField(grid, vh_next)))
+        both = fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy())
+        res_only = fixedpoint._step_norms(grid, vh.copy(), conv.copy())
+        step_only = fixedpoint._step_norms(grid, vh.copy(), None, vh_next.copy())
+        assert both == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert res_only == pytest.approx((want[0], 0.0, 0.0), rel=1e-13, abs=0.0)
+        assert step_only == pytest.approx((0.0, *want[1:]), rel=1e-13, abs=0.0)
 
 
 class TestAssembleProblem:

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,13 +200,43 @@ class TestHalfLattice:
 
     @pytest.mark.parametrize("d, n", [(5, 8), (3, 16)])
     def test_no_full_size_float_phase_or_scale_table(self, d, n):
-        """Two float half-lattice arrays (symbol, H4 weight), the int8 phase and the last-axis vector."""
+        """One float half-lattice table (the H4 weight), the int8 phase, the last-axis vector, one |p|^2
+        per row and at most one block of |p|^2."""
         spec = GridSpec(d, n, 2.0)
         lattice = spectral.half_lattice(spec)
         arrays = [a for a in vars(lattice).values() if isinstance(a, np.ndarray)]
-        half = int(np.prod(spec.half_shape))
-        assert sum(a.nbytes for a in arrays) <= 2 * 8 * half + half + 8 * spec.half_shape[-1]
-        assert sorted(a.dtype.name for a in arrays) == ["float64", "float64", "float64", "int8"]
+        half, m = int(np.prod(spec.half_shape)), spec.half_shape[-1]
+        assert lattice.rows_p2.shape == (half // m,) and lattice.tile.size <= spectral.BLOCK
+        assert sum(a.nbytes for a in arrays) <= 8 * half + half + 8 * m + 8 * (half // m) + 8 * spectral.BLOCK
+        assert sorted(a.dtype.name for a in arrays) == ["float64"] * 4 + ["int8"]
+
+    @pytest.mark.parametrize("d, n, blocks", [(1, 8, 1), (6, 4, 1), (5, 8, 1), (5, 16, 10), (7, 8, 21)],
+                             ids=["d1n8", "d6n4", "d5n8", "d5n16", "d7n8"])
+    def test_blocks_match_the_full_tables_bitwise(self, d, n, blocks):
+        """The per-block symbol and the H4 weight built in place are the full-size formulas' numbers. d5n16
+        and d7n8 end in a ragged block."""
+        spec = GridSpec(d, n, 4.0 * np.pi)
+        q, m = spectral.p2(spec), spec.half_shape[-1]
+        symbol, hermitian = q + q**2, np.r_[1.0, np.full(m - 2, 2.0), 1.0]
+        symbol[(0,) * d] = 1.0
+        got, seen = np.full(spec.half_shape, np.nan), 0
+        for block, out in spectral.symbol_blocks(spec, got):
+            out[...], seen = block, seen + 1
+        assert seen == blocks and np.array_equal(got, symbol)
+        assert np.array_equal(spectral.half_lattice(spec).h4_weight, hermitian * (1.0 + q**4))
+
+    @pytest.mark.parametrize("d, n", [(5, 16), (7, 8)])
+    def test_building_peaks_at_the_held_arrays_plus_two_blocks(self, d, n):
+        spec = GridSpec(d, n, 1.2345)  # a grid no other test builds, so that it is not cached
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lattice = spectral.half_lattice(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(lattice).values() if isinstance(a, np.ndarray))
+        assert peak - base <= held + 2 * lattice.tile.nbytes
 
     @pytest.mark.parametrize("spec", [GridSpec(5, 8, 4 * np.pi), GridSpec(3, 16, 2.0)], ids=["d5n8", "d3n16"])
     def test_folded_spectrum_is_the_phase_times_the_coefficients(self, spec):
