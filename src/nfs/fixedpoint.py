@@ -13,17 +13,17 @@ eps K conv g(u0 + v) is taken on one path, after the ball and the interval check
 (every step's, apply_tg's and the last iterate's), so the returned u is checked
 like any other iterate. eps = 0 needs no special case: the multiplier is then 0,
 and the solve of an all-zero spectrum is zero. One blocked pass per step reads the
-residual, the step norm and the iterate norm off spectra already in hand. A
-contraction pair keeps both draws as spectra: 2 irfftn for the compositions and
-1 rfftn of their difference. The iteration is plain (no acceleration): its
-geometric decay is itself one of the measured quantities.
-"""
+residual, the step norm and the iterate norm off spectra already in hand. On a
+grid with threaded nd-FFTs, every elementwise pass of a step runs on every CPU as
+well, bitwise as on one (`spectral._map_blocks`). A contraction pair keeps both
+draws as spectra: 2 irfftn for the compositions and 1 rfftn of their difference.
+The iteration is plain (no acceleration): its geometric decay is measured."""
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
 from .config import check_value
 from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch, NotConverged,
-                     OutsideBall, TrivialField)
+                     OutsideBall, TrivialField, TrivialSource)
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
 from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
@@ -132,17 +132,17 @@ def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float, ove
     """
     _check_ball(ps, v_h4)
     conv = spectral.dft(compose(ps.g, u0, v, ps.interval, overwrite_v=overwrite_v))
-    conv *= ps.multiplier
+    spectral._map_blocks(ps.grid, lambda b, c, m: np.multiply(c, m, out=c), conv, ps.multiplier)
     conv[(0,) * ps.grid.d] = 0.0
     return conv
 
 
 def _solve(ps: ProblemSpec, conv: np.ndarray) -> np.ndarray:
-    """Half spectrum (folded if `conv` is) of the mean-projected linear solve of `conv`; zero for an
-    all-zero `conv`."""
-    if not np.any(conv):
+    """Half spectrum (folded if `conv` is) of the mean-projected solve of `conv`; zero for an all-zero one."""
+    try:
+        return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
+    except TrivialSource:  # the solve's own all-zero scan, the one per step
         return np.zeros_like(conv)
-    return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
 
 
 def _weighted_sum(x: np.ndarray, w: np.ndarray) -> float:  # each term as spectral's norms form it
@@ -156,15 +156,20 @@ def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tupl
     """One blocked pass: the L2 norm of conv - (|p|^2 + |p|^4) vh, iterate vh's residual (conv and a solve's
     vh have no zero mode; off it, the u0 part f^ - (|p|^2 + |p|^4) u0^ is rounding), ||vh_next - vh||_H4 and
     ||vh_next||_H4, each 0 when not asked for. The residual is formed in conv, the difference in vh."""
-    lattice, sums = spectral.half_lattice(grid), np.zeros(3)
-    for symbol, v, r, nxt, h4 in spectral.symbol_blocks(grid, vh, conv, vh_next, lattice.h4_weight):
+    lattice = spectral.half_lattice(grid)
+
+    def block(b: slice, v, r, nxt, h4) -> list[float]:
+        parts = [0.0, 0.0, 0.0]
         if r is not None:
-            r.real -= symbol * v.real  # the numbers of symbol * v, through real block temporaries
-            r.imag -= symbol * v.imag
-            sums[0] += _weighted_sum(r, lattice.hermitian)
+            symbol = lattice.symbol(b)
+            np.subtract(r.real, symbol * v.real, out=r.real)  # symbol * v through real block temporaries
+            np.subtract(r.imag, symbol * v.imag, out=r.imag)
+            parts[0] = _weighted_sum(r, lattice.hermitian)
         if nxt is not None:
-            sums[1] += _weighted_sum(np.subtract(nxt, v, out=v), h4)
-            sums[2] += _weighted_sum(nxt, h4)
+            parts[1:] = _weighted_sum(np.subtract(nxt, v, out=v), h4), _weighted_sum(nxt, h4)
+        return parts
+
+    sums = reduce(np.add, spectral._map_blocks(grid, block, vh, conv, vh_next, lattice.h4_weight), np.zeros(3))
     return tuple(map(float, np.sqrt(grid.freq_spacing() ** grid.d * sums)))
 
 

@@ -52,15 +52,15 @@ def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField
                 f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
                 f"||f||_L2 = {tol * l2:.3e}; use run.mean_policy = project, or project=True"
             )
-    coeffs = np.empty(fh.spec.half_shape, complex)
-    for symbol, rhs, out in spectral.symbol_blocks(fh.spec, fh.coeffs, coeffs):  # no full-size symbol
-        np.divide(rhs, symbol, out=out)
+    coeffs, lattice = np.empty(fh.spec.half_shape, complex), spectral.half_lattice(fh.spec)
+    spectral._map_blocks(fh.spec, lambda b, rhs, out: np.divide(rhs, lattice.symbol(b), out=out), fh.coeffs, coeffs)
     coeffs[zero] = 0.0
     return SpectralField(fh.spec, coeffs)
 
 
 def solve_linear(f: RealField, project: bool = False) -> RealField:
-    return spectral.inverse_transform(solve_linear_full(spectral.forward_transform(f), project))
+    uh = solve_linear_full(SpectralField(f.spec, spectral.forward_folded(f)), project)  # the phase is +1 at 0
+    return spectral.inverse_folded(f.spec, uh.coeffs)
 
 
 def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectral
 from .errors import AssumptionError, IntervalExceeded, NonconformingG
 from .grid import RealField, check_same_grid
 
@@ -44,10 +45,11 @@ def _horner(asc: np.ndarray, z) -> np.ndarray:
     if len(asc) == 1:
         return np.full(np.shape(z), asc[0])
     out = z * asc[-1]
-    out += asc[-2]
-    for c in asc[-3::-1]:
-        out *= z
-        out += c
+    for i, c in enumerate(asc[-2::-1]):
+        if i:
+            out *= z
+        if c:  # an exact zero is skipped: only the sign of a zero result can differ
+            out += c
     return out
 
 
@@ -121,15 +123,19 @@ def compose(
     buffer, which then no longer holds v.
     """
     check_same_grid(u0, v)
-    z = np.add(u0.values, v.values, out=v.values if overwrite_v else None)
+    z, spec = v.values if overwrite_v else np.empty_like(v.values), u0.spec
+    lo_hi = spectral._map_blocks(spec, lambda b, x, y, s: (np.add(x, y, out=s).min(), s.max()), u0.values, v.values,
+                                 z, field=True)  # per block, u0 + v into z, then its min and max
     if interval is not None:
-        lo, hi = np.min(z), np.max(z)
+        lo, hi = np.minimum.reduce([r[0] for r in lo_hi]), np.maximum.reduce([r[1] for r in lo_hi])  # NaN stays
         if lo < interval.lower - INTERVAL_SLACK or hi > interval.upper + INTERVAL_SLACK:
             raise IntervalExceeded(
                 f"pointwise range [{lo}, {hi}] exceeds certified interval "
                 f"[{interval.lower}, {interval.upper}]"
             )
-    return RealField(u0.spec, np.asarray(g.g(z)))
+    G = np.empty_like(z) if overwrite_v else z  # G in v's buffer raised the loop's peak RSS: fewer heap holes
+    spectral._map_blocks(spec, lambda b, x, out: np.copyto(out, g.g(x)), z, G, field=True)
+    return RealField(spec, G)
 
 
 def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:

@@ -17,7 +17,7 @@ from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
 from .errors import NonPositiveInput
 from .fixedpoint import ProblemSpec
-from .grid import GridSpec, RealField
+from .grid import GridSpec, RealField, SpectralField
 from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_norm
 
@@ -51,7 +51,7 @@ def assemble_problem(
     When `g_other` is given (continuity experiments), the snapshot's C2 bound
     covers both nonlinearities, so the certified range is valid for either.
     """
-    u0h = solve_linear_full(spectral.forward_transform(source), project_mean)
+    u0h = solve_linear_full(SpectralField(grid, spectral.forward_folded(source)), project_mean)  # folded: same norms
     u0_h4 = spectral.norm_h4_spectral(u0h)
     if not math.isfinite(u0_h4):
         raise NonPositiveInput(f"u0_h4 must be finite, got {u0_h4}; scale the source down")

@@ -21,13 +21,16 @@ norm, is bitwise the same, and the transforms of a folded spectrum need only the
 scalar scale. The Picard loop works on folded spectra. The H4 weight is the one
 full-size float table kept per grid: blocked passes view a half spectrum as (rows,
 last axis) and form |p|^2 on a block of rows from a row part and a last-axis part,
-the last step of p2's fold, so bitwise p2's value.
+the last step of p2's fold, so bitwise p2's value. Where nd-FFTs are threaded, so are
+the blocked passes (`_map_blocks`), with each block's serial arithmetic and order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -46,6 +49,7 @@ BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,4
 THREADED_POINTS = 1 << 20
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _nd_ffts, _nd_ffts_lock = 0, threading.Lock()
+_POOL = ThreadPoolExecutor(max(1, CPUS - 1), thread_name_prefix="nfs-blocks")  # its threads start on first use
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,14 @@ class HalfLattice:
     rows_p2: np.ndarray  # |p_k|^2 over the first d - 1 axes, one value per row of the last axis
     tile: np.ndarray  # |p_k|^2 of the last axis, one row per row of a block
     scale: float  # (dx)^d (2 pi)^(-d/2): coeff = phase * scale * DFT
+
+    def symbol(self, rows: slice) -> np.ndarray:
+        """|p_k|^2 + |p_k|^4 on a block of rows of the (rows, last axis) view; zero mode 1 (callers drop it)."""
+        q = self.rows_p2[rows, None] + self.tile[: len(self.rows_p2[rows])]  # the last block may be short
+        q += np.square(q)
+        if rows.start == 0:
+            q[0, 0] = 1.0
+        return q
 
 
 def p2(spec: GridSpec) -> np.ndarray:
@@ -84,21 +96,30 @@ def half_lattice(spec: GridSpec) -> HalfLattice:
     return HalfLattice(*arrays, scale=spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0))
 
 
-def symbol_blocks(spec: GridSpec, *arrays: np.ndarray | None):
-    """Per block of rows of the half lattice viewed as (rows, last axis): |p_k|^2 + |p_k|^4 on the
-    block, zero mode set to 1 (callers drop it), then each half-lattice array's block (None stays None)."""
-    rows_p2, tile = half_lattice(spec).rows_p2, half_lattice(spec).tile
-    views = [a if a is None else a.reshape(len(rows_p2), -1) for a in arrays]
-    for i in range(0, len(rows_p2), len(tile)):
-        q = rows_p2[i : i + len(tile), None] + tile[: len(rows_p2) - i]  # the last block may be short
-        q += np.square(q)
-        if i == 0:
-            q[0, 0] = 1.0
-        yield q, *(a if a is None else a[i : i + len(q)] for a in views)
+def _map_blocks(spec: GridSpec, fn, *arrays: np.ndarray | None, field: bool = False) -> list:
+    """[fn(b, *each array's block b)] over the blocks of rows of a half spectrum, or of a field's flat values. With
+    w = _workers(spec) > 1, thread t takes blocks t, t + w, ... (the caller's share first, in its numpy error
+    state). fn calls no public nfs function, so that a profiler wrapping those sees one thread."""
+    rows, step = (spec.size, BLOCK) if field else (len(half_lattice(spec).rows_p2), len(half_lattice(spec).tile))
+    blocks, w = [slice(i, i + step) for i in range(0, rows, step)], _workers(spec)
+    views = [a if a is None else a.reshape(-1 if field else (-1, a.shape[-1])) for a in arrays]
+
+    def share(t: int) -> list:
+        return [fn(b, *[a if a is None else a[b] for a in views]) for b in blocks[t::w]]
+
+    if w == 1:  # inline, at no more cost than a plain loop
+        return share(0)
+    futures = [_POOL.submit(contextvars.copy_context().run, share, t) for t in range(1, w)]
+    try:
+        shares = [share(0)]
+    finally:
+        wait(futures)  # no block outlives the call
+    shares += [f.result() for f in futures]
+    return [shares[k % w][k // w] for k in range(len(blocks))]
 
 
 def _workers(spec: GridSpec) -> int:
-    """Threads for an nd-FFT on this grid: every CPU the process may use on a large grid, else 1."""
+    """Threads for an nd-FFT or a blocked pass on this grid: every CPU the process may use on a large grid, else 1."""
     return CPUS if spec.size >= THREADED_POINTS else 1
 
 
@@ -132,15 +153,16 @@ def dft(f: RealField) -> np.ndarray:
 
 def forward_folded(f: RealField) -> np.ndarray:
     """Folded half spectrum of f, scale * dft(f): forward_transform without the phase."""
-    coeffs = dft(f)
-    coeffs *= half_lattice(f.spec).scale
+    coeffs, scale = dft(f), half_lattice(f.spec).scale
+    _map_blocks(f.spec, lambda b, c: np.multiply(c, scale, out=c), coeffs)
     return coeffs
 
 
 def inverse_folded(spec: GridSpec, coeffs: np.ndarray) -> RealField:
     """The field whose folded half spectrum is `coeffs`; `coeffs` itself is left as it is."""
-    values = _c2r(coeffs * (1.0 / half_lattice(spec).scale), spec.shape, _workers(spec))
-    return RealField(spec, values.reshape(-1))
+    scaled, s = np.empty_like(coeffs), 1.0 / half_lattice(spec).scale
+    _map_blocks(spec, lambda b, c, out: np.multiply(c, s, out=out), coeffs, scaled)
+    return RealField(spec, _c2r(scaled, spec.shape, _workers(spec)).reshape(-1))
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -184,12 +206,9 @@ def norm_linf(f: RealField) -> float:
 
 def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
     """sqrt((dp)^d sum w |c|^2): imag^2 and w go in per block, and |c|^2 is summed once, unblocked."""
-    coeffs = F.coeffs.reshape(-1, F.coeffs.shape[-1])
-    mag2, w = np.square(coeffs.real), weight.reshape(-1, coeffs.shape[1])
-    step = max(1, BLOCK // coeffs.shape[1])
-    for b in (slice(i, i + step) for i in range(0, len(coeffs), step)):
-        mag2[b] += np.square(coeffs[b].imag)
-        mag2[b] *= w if len(w) == 1 else w[b]
+    mag2, w = np.square(F.coeffs.real), weight.reshape(-1, F.coeffs.shape[-1])  # one row broadcasts to every block
+    _map_blocks(F.spec, lambda b, c, m: np.multiply(np.add(m, np.square(c.imag), out=m), w if len(w) == 1 else w[b],
+                                                     out=m), F.coeffs, mag2)
     return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * np.sum(mag2)))
 
 

@@ -348,7 +348,8 @@ class TestKernelDispatchParity:
     """Polynomial g, g', g'' are one in-place Horner loop; it rounds exactly as polyval."""
 
     @pytest.mark.parametrize(
-        "asc", [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -1.3, 0.25], [0.0, 0.0, 0.0, 3.0e-3, 7.0, -0.125]]
+        "asc", [[0.0, 0.0, 1.0], [0.0, 0.0, 0.5, -1.3, 0.25], [0.0, 0.0, 0.0, 3.0e-3, 7.0, -0.125],
+                [0.0, 0.0, 1.0, 0.0, -2.0]]  # Horner skips a zero coefficient: only a zero's sign can differ
     )
     def test_poly_eval_is_polyval(self, asc):
         x = np.random.default_rng(len(asc)).uniform(-3.0, 3.0, 1001)

@@ -426,3 +426,73 @@ class TestContinuity:
         assert half.g_distance == pytest.approx(full.g_distance / 2, rel=1e-12)
         assert half.bound == pytest.approx(full.bound / 2, rel=1e-12)
         assert half.verdict
+
+
+@pytest.fixture(scope="module", params=[(5, 16), (7, 8)], ids=["d5n16", "d7n8"])
+def large_problem(request):
+    """A certified problem on a grid of at least 2^20 points, where the passes run on every CPU."""
+    d, n = request.param
+    gs = GridSpec(d, n, 4.0 * np.pi)
+    kernel = builders.build_gaussian_kernel(gs, 1.0, 1.0)
+    return pipeline.assemble_problem(gs, kernel, builders.build_gaussian_diff_source(gs), Nonlinearity(coeffs=[1.0]))
+
+
+def _submits(monkeypatch, cpus: int) -> list:
+    """Set spectral.CPUS and record each share a blocked pass hands to the pool."""
+    submitted, submit = [], spectral._POOL.submit
+    monkeypatch.setattr(spectral, "CPUS", cpus)
+    monkeypatch.setattr(spectral._POOL, "submit", lambda *a: submitted.append(a) or submit(*a))
+    return submitted
+
+
+class TestThreadedPasses:
+    """The blocked passes of a large grid run on spectral.CPUS threads, bitwise as on one."""
+
+    def test_solve_is_the_same_on_one_and_two_threads(self, large_problem, monkeypatch):
+        reports = []
+        for cpus in (1, 2):
+            submitted = _submits(monkeypatch, cpus)
+            reports.append(solve_fixed_point(large_problem.ps))
+            assert bool(submitted) == (cpus == 2)
+        one, two = reports
+        assert np.array_equal(one.u_p.values, two.u_p.values) and np.array_equal(one.u.values, two.u.values)
+        for name in ("iterate_h4", "step_h4", "ratio", "residual"):
+            np.testing.assert_array_equal(getattr(one.trace, name), getattr(two.trace, name))  # NaN equals NaN
+
+    def test_each_pass_matches_the_inline_pass(self, large_problem, monkeypatch):
+        """d5n16's half spectrum ends in a short block (10 blocks), d7n8's too (21)."""
+        ps, u0 = large_problem.ps, large_problem.u0
+        grid, rng = ps.grid, np.random.default_rng(11)
+        v = sample_ball(grid, ps.rho, rng)
+        vh, vh_next = (sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2))
+        outputs = []
+        for cpus in (1, 2):
+            submitted = _submits(monkeypatch, cpus)
+            conv = fixedpoint._checked_conv(ps, u0, v, norm_h4(v), overwrite_v=False)
+            outputs.append([spectral.forward_folded(v), spectral.inverse_folded(grid, vh).values,
+                            compose(ps.g, u0, v, ps.interval).values, conv, fixedpoint._solve(ps, conv),
+                            fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy()),
+                            spectral.norm_h4_spectral(SpectralField(grid, vh)), solve_linear(ps.source).values])
+            assert len(submitted) == (16 if cpus == 2 else 0)  # one pool share per pass
+        for one, two in zip(*outputs):
+            assert np.array_equal(one, two)
+
+    def test_interval_message_is_the_serial_one(self, large_problem, monkeypatch):
+        ps, u0 = large_problem.ps, large_problem.u0
+        v = sample_ball(ps.grid, ps.rho, np.random.default_rng(2))
+        z, tight = u0.values + v.values, IntervalI(-1e-3, 1e-3)
+        want = f"pointwise range [{np.min(z)}, {np.max(z)}] exceeds certified interval [-0.001, 0.001]"
+        for cpus in (1, 2):
+            _submits(monkeypatch, cpus)
+            with pytest.raises(IntervalExceeded) as err:
+                compose(ps.g, u0, v, tight)
+            assert str(err.value) == want
+
+    def test_d5n8_solve_and_contraction_start_no_thread(self, standard_scenario, monkeypatch):
+        """Contraction's 2^15-point grid stays on the calling thread, whatever the CPU count."""
+        submitted = _submits(monkeypatch, 2)
+        threads = threading.active_count()
+        solve_fixed_point(standard_scenario.ps)
+        assert threading.active_count() == threads
+        measure_contraction(standard_scenario.ps, trials=3, seed=1, u0=standard_scenario.u0)
+        assert submitted == [] and threading.active_count() == threads

@@ -48,6 +48,15 @@ class TestSolveLinear:
         u = solve_linear(f)
         assert np.max(np.abs(u.values - f.values / 20.0)) < 1e-12
 
+    @pytest.mark.parametrize("d, n", [(5, 8), (5, 16), (7, 8)])
+    @pytest.mark.parametrize("project", [False, True])
+    def test_folded_solve_is_the_calibrated_one_bitwise(self, d, n, project):
+        """The phase is +-1 and +1 at the zero mode: solved on the folded spectrum, u is bitwise the same."""
+        spec = GridSpec(d, n, 4.0 * np.pi)
+        f = mean_free_random(spec, seed=d + n)
+        want = inverse_transform(solve_linear_full(forward_transform(f), project))
+        assert np.array_equal(solve_linear(f, project).values, want.values)
+
     def test_trivial_source(self):
         spec = GridSpec(2, 8, 1.0)
         with pytest.raises(TrivialSource):

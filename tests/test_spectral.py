@@ -156,6 +156,47 @@ class TestThreadedTransforms:
         assert seen == [expected, expected]
 
 
+class TestMapBlocks:
+    """spectral._map_blocks: the blocks of a large grid on every CPU, results in block order."""
+
+    def test_results_in_block_order_under_thread_switches(self, monkeypatch):
+        """4 calling threads share the pool with 8 shares each (more than the cores), a switch every microsecond."""
+        spec, m = GridSpec(5, 16, 1.0), 9
+        x = np.arange(spec.size // 16 * m, dtype=float).reshape(-1, m)
+        want = [(b.start, float(x[b].sum())) for b in (slice(i, i + 7281) for i in range(0, len(x), 7281))]
+        monkeypatch.setattr(spectral, "CPUS", 8)
+        got, interval = [], sys.getswitchinterval()
+
+        def calls():
+            for _ in range(20):
+                got.append(spectral._map_blocks(spec, lambda b, xb: (b.start, float(xb.sum())), x))
+
+        threads = [threading.Thread(target=calls) for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 80 and all(r == want for r in got)
+
+    def test_a_pool_block_error_is_raised_after_every_share_ends(self, monkeypatch):
+        monkeypatch.setattr(spectral, "CPUS", 2)
+        spec, done = GridSpec(5, 16, 1.0), []
+
+        def fn(b):
+            if b.start == 7281:  # block 1: the pool's share
+                raise ValueError("block 1")
+            done.append(b.start)
+
+        with pytest.raises(ValueError, match="block 1"):
+            spectral._map_blocks(spec, fn)
+        assert sorted(done) == [0, 2 * 7281, 4 * 7281, 6 * 7281, 8 * 7281]  # the caller's share, all of it
+
+
 def test_transform_count_loses_none_between_threads():
     """8 threads, more than the cores, make 200 transforms each with a thread switch every microsecond."""
     f = RealField(GridSpec(2, 4, 1.0), np.ones(16))
@@ -219,10 +260,9 @@ class TestHalfLattice:
         q, m = spectral.p2(spec), spec.half_shape[-1]
         symbol, hermitian = q + q**2, np.r_[1.0, np.full(m - 2, 2.0), 1.0]
         symbol[(0,) * d] = 1.0
-        got, seen = np.full(spec.half_shape, np.nan), 0
-        for block, out in spectral.symbol_blocks(spec, got):
-            out[...], seen = block, seen + 1
-        assert seen == blocks and np.array_equal(got, symbol)
+        got, lattice = np.full(spec.half_shape, np.nan), spectral.half_lattice(spec)
+        seen = spectral._map_blocks(spec, lambda b, out: np.copyto(out, lattice.symbol(b)), got)
+        assert len(seen) == blocks and np.array_equal(got, symbol)
         assert np.array_equal(spectral.half_lattice(spec).h4_weight, hermitian * (1.0 + q**4))
 
     @pytest.mark.parametrize("d, n", [(5, 16), (7, 8)])
