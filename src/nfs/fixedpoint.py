@@ -16,7 +16,7 @@ and the solve of an all-zero spectrum is zero. One blocked pass per step reads t
 residual, the step norm and the iterate norm off spectra already in hand. On a
 grid with threaded nd-FFTs, every elementwise pass of a step runs on every CPU as
 well, bitwise as on one (`spectral._map_blocks`). A contraction pair keeps both
-draws as spectra: 2 irfftn for the compositions and 1 rfftn of their difference.
+draws as folded spectra: 2 irfftn for the compositions and 1 rfftn of their difference.
 The iteration is plain (no acceleration): its geometric decay is measured."""
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ProblemSpec:
         kh = spectral.forward_transform(self.kernel).coeffs
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
-        # the heap grows past them (peak RSS 215 -> 235 MB at d7n8, 134 -> 143 MB at d5n16)
+        # the heap grows past them and the loop's peak RSS rises
         self.multiplier = coupling * kh * spectral.half_lattice(self.grid).scale
 
     @property
@@ -122,16 +122,15 @@ def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
         raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
 
 
-def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float, overwrite_v: bool) -> np.ndarray:
+def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float) -> np.ndarray:
     """Folded half spectrum of eps K conv g(u0 + v), after the ball and the interval checks.
 
     It is dft(G) times the multiplier, zero mode dropped (as the mean-projected solve and the
     residual drop it), so at eps = 0 it is all zero. G is freed on return,
-    before a caller's solve allocates (one real field less at the peak). With `overwrite_v`,
-    u0 + v is formed in v's buffer.
+    before a caller's solve allocates (one real field less at the peak).
     """
     _check_ball(ps, v_h4)
-    conv = spectral.dft(compose(ps.g, u0, v, ps.interval, overwrite_v=overwrite_v))
+    conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
     spectral._map_blocks(ps.grid, lambda b, c, m: np.multiply(c, m, out=c), conv, ps.multiplier)
     conv[(0,) * ps.grid.d] = 0.0
     return conv
@@ -143,13 +142,6 @@ def _solve(ps: ProblemSpec, conv: np.ndarray) -> np.ndarray:
         return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
     except TrivialSource:  # the solve's own all-zero scan, the one per step
         return np.zeros_like(conv)
-
-
-def _weighted_sum(x: np.ndarray, w: np.ndarray) -> float:  # each term as spectral's norms form it
-    mag2 = np.square(x.real)
-    mag2 += np.square(x.imag)
-    mag2 *= w
-    return float(np.sum(mag2))
 
 
 def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tuple[float, float, float]:
@@ -164,9 +156,10 @@ def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tupl
             symbol = lattice.symbol(b)
             np.subtract(r.real, symbol * v.real, out=r.real)  # symbol * v through real block temporaries
             np.subtract(r.imag, symbol * v.imag, out=r.imag)
-            parts[0] = _weighted_sum(r, lattice.hermitian)
+            parts[0] = np.sum(spectral._weighted_abs2(r, lattice.hermitian))
         if nxt is not None:
-            parts[1:] = _weighted_sum(np.subtract(nxt, v, out=v), h4), _weighted_sum(nxt, h4)
+            dv = np.subtract(nxt, v, out=v)
+            parts[1:] = np.sum(spectral._weighted_abs2(dv, h4)), np.sum(spectral._weighted_abs2(nxt, h4))
         return parts
 
     sums = reduce(np.add, spectral._map_blocks(grid, block, vh, conv, vh_next, lattice.h4_weight), np.zeros(3))
@@ -175,7 +168,7 @@ def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tupl
 
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
-    out = _solve(ps, _checked_conv(ps, u0, v, spectral.norm_h4(v), overwrite_v=False))
+    out = _solve(ps, _checked_conv(ps, u0, v, spectral.norm_h4(v)))
     return spectral.inverse_folded(ps.grid, out)
 
 
@@ -185,19 +178,21 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     The residual of iterate k uses the g(u0 + v_k) that step k + 1 transforms
     anyway; only the last iterate needs one more forward transform for it, after
     the same ball and interval checks. The real iterate v lives only from its
-    inverse transform to the composition, which forms u0 + v in v's buffer.
+    inverse transform to the composition, which reads it and leaves it as it is.
     """
     grid = ps.grid
+    if v_start is not None:
+        check_same_grid(ps.source, v_start)
     u0 = solve_linear(ps.source, ps.project_mean)
     if v_start is None:
         v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
-    else:  # a copy, as the composition writes into it
-        v, vh = RealField(grid, v_start.values.copy()), spectral.forward_folded(v_start)
+    else:
+        v, vh = v_start, spectral.forward_folded(v_start)
     v_h4 = _h4(grid, vh)
     trace = IterationTrace()
     grow_streak = 0
     for _ in range(ps.max_iter):
-        conv = _checked_conv(ps, u0, v, v_h4, overwrite_v=True)
+        conv = _checked_conv(ps, u0, v, v_h4)
         del v
         vh_next = _solve(ps, conv)
         prev = trace.step_h4[-1] if trace.step_h4 else None
@@ -221,7 +216,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         raise NotConverged(f"no convergence within {ps.max_iter} iterations")
     v = spectral.inverse_folded(grid, vh)
     # v is kept for the report; u is built after G^, so G and u are not alive at once
-    trace.residual.append(_step_norms(grid, vh, _checked_conv(ps, u0, v, v_h4, overwrite_v=False))[0])
+    trace.residual.append(_step_norms(grid, vh, _checked_conv(ps, u0, v, v_h4))[0])
     return SolveReport(u0=u0, u_p=v, u=RealField(grid, u0.values + v.values), trace=trace)
 
 
@@ -243,20 +238,21 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
 
 @lru_cache(maxsize=4)
 def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of each half-lattice mode's mirror -k mod n, and the damping 0.5 / (1 + |p|^4)."""
-    axes = np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape])
-    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.p2(grid) ** 2)
+    """Flat index of each half-lattice mode's mirror -k mod n, and the damping 0.5 / (1 + |p|^4) times the
+    phase (+-1, so the product is exact): the draws come out folded."""
+    axes, phase = np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape]), spectral.half_lattice(grid).phase
+    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.p2(grid) ** 2) * phase
 
 
 def sample_ball_spectrum(
     grid: GridSpec, rho: float, rng: np.random.Generator
 ) -> SpectralField:
-    """Half spectrum of a field with H4 norm uniform in (0, rho].
+    """Folded half spectrum (see `spectral`) of a field with H4 norm uniform in (0, rho].
 
     Spectral coefficients are independent complex Gaussians damped by
     (1 + |p|^4)^(-1) and Hermitian-symmetrized, coeff(k) averaged with
     conj(coeff(-k)), then rescaled. The damping spans rough-to-smooth
-    directions while staying in H4.
+    directions while staying in H4. `spectral.inverse_folded` gives the field.
     """
     mirror, weight = _ball_tables(grid)
     m, sym = grid.half_shape[-1], np.empty(grid.half_shape, dtype=complex)
@@ -280,7 +276,7 @@ def sample_ball(
     grid: GridSpec, rho: float, rng: np.random.Generator
 ) -> RealField:
     """Draw a field with H4 norm uniform in (0, rho]; see sample_ball_spectrum."""
-    return spectral.inverse_transform(sample_ball_spectrum(grid, rho, rng))
+    return spectral.inverse_folded(grid, sample_ball_spectrum(grid, rho, rng).coeffs)
 
 
 def measure_contraction(
@@ -317,8 +313,7 @@ def measure_contraction(
             for i in (0, 1):
                 _check_ball(ps, _h4(grid, vhs[i]))
             # each spectrum is freed once its v is built, and each v once g(u0 + v) is
-            g1, g2 = (compose(ps.g, u0, spectral.inverse_transform(SpectralField(grid, vhs.pop(0))), ps.interval)
-                      for _ in range(2))
+            g1, g2 = (compose(ps.g, u0, spectral.inverse_folded(grid, vhs.pop(0)), ps.interval) for _ in range(2))
             diff = spectral.dft(RealField(grid, g1.values - g2.values))
             diff *= ps.multiplier
             diff = _solve(ps, diff)

@@ -108,24 +108,26 @@ def c2_norm(g: Nonlinearity, interval: IntervalI) -> C2Report:
     return C2Report(sup_g=sup_g, sup_g1=sup_g1, sup_g2=sup_g2, c2_norm=sup_g + sup_g1 + sup_g2)
 
 
-def compose(
-    g: Nonlinearity,
-    u0: RealField,
-    v: RealField,
-    interval: IntervalI | None = None,
-    overwrite_v: bool = False,
-) -> RealField:
+def compose(g: Nonlinearity, u0: RealField, v: RealField, interval: IntervalI | None = None) -> RealField:
     """Pointwise G(x) = g(u0(x) + v(x)), with certified-interval enforcement.
 
     Values outside the interval by more than a tiny slack indicate that the
     iterate left the ball or that the embedding constant is loose; this is an
-    error, never a silent clamp. With `overwrite_v`, u0 + v is formed in v's
-    buffer, which then no longer holds v.
+    error, never a silent clamp. One blocked sweep forms u0 + v in a block of G, takes
+    its range, then g in place; neither input is written. G is a new buffer: held in
+    the iterate's, it raised the loop's peak RSS, as the heap lacked the holes its
+    spectra fill.
     """
     check_same_grid(u0, v)
-    z, spec = v.values if overwrite_v else np.empty_like(v.values), u0.spec
-    lo_hi = spectral._map_blocks(spec, lambda b, x, y, s: (np.add(x, y, out=s).min(), s.max()), u0.values, v.values,
-                                 z, field=True)  # per block, u0 + v into z, then its min and max
+
+    def block(b: slice, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple:
+        lo_hi = np.add(x, y, out=out).min(), out.max()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below by name: the interval, or G's finiteness
+            np.copyto(out, g.g(out))
+        return lo_hi
+
+    G = np.empty_like(v.values)
+    lo_hi = spectral._map_blocks(u0.spec, block, u0.values, v.values, G, field=True)
     if interval is not None:
         lo, hi = np.minimum.reduce([r[0] for r in lo_hi]), np.maximum.reduce([r[1] for r in lo_hi])  # NaN stays
         if lo < interval.lower - INTERVAL_SLACK or hi > interval.upper + INTERVAL_SLACK:
@@ -133,9 +135,7 @@ def compose(
                 f"pointwise range [{lo}, {hi}] exceeds certified interval "
                 f"[{interval.lower}, {interval.upper}]"
             )
-    G = np.empty_like(z) if overwrite_v else z  # G in v's buffer raised the loop's peak RSS: fewer heap holes
-    spectral._map_blocks(spec, lambda b, x, out: np.copyto(out, g.g(x)), z, G, field=True)
-    return RealField(spec, G)
+    return RealField(u0.spec, G)
 
 
 def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:

@@ -18,7 +18,9 @@ and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
 The phase is +-1, so a spectrum can also be held folded, as phase * coeff =
 scale * DFT: the phase flips signs exactly, so every |coeff|^2, and with it every
 norm, is bitwise the same, and the transforms of a folded spectrum need only the
-scalar scale. The Picard loop works on folded spectra. The H4 weight is the one
+scalar scale. The Picard loop and the ball draws work on folded spectra; the
+calibrated pair is the folded pair with one multiply by the phase. Every norm forms
+its terms w |coeff|^2 in one kernel (`_weighted_abs2`). The H4 weight is the one
 full-size float table kept per grid: blocked passes view a half spectrum as (rows,
 last axis) and form |p|^2 on a block of rows from a row part and a last-axis part,
 the last step of p2's fold, so bitwise p2's value. Where nd-FFTs are threaded, so are
@@ -174,10 +176,7 @@ def forward_transform(f: RealField) -> SpectralField:
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Exact inverse of forward_transform; real by construction."""
-    lattice = half_lattice(F.spec)
-    dft_in = F.coeffs * lattice.phase
-    dft_in *= 1.0 / lattice.scale
-    return RealField(F.spec, _c2r(dft_in, F.spec.shape, _workers(F.spec)).reshape(-1))
+    return inverse_folded(F.spec, F.coeffs * half_lattice(F.spec).phase)
 
 
 def convolve(k: RealField, g: RealField) -> RealField:
@@ -204,11 +203,18 @@ def norm_linf(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def _weighted_abs2(c: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """w |c|^2 (into `out` if given): the terms of every spectral norm, each formed the same way."""
+    out = np.square(c.real, out=out)
+    out += np.square(c.imag)
+    out *= w
+    return out
+
+
 def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
-    """sqrt((dp)^d sum w |c|^2): imag^2 and w go in per block, and |c|^2 is summed once, unblocked."""
-    mag2, w = np.square(F.coeffs.real), weight.reshape(-1, F.coeffs.shape[-1])  # one row broadcasts to every block
-    _map_blocks(F.spec, lambda b, c, m: np.multiply(np.add(m, np.square(c.imag), out=m), w if len(w) == 1 else w[b],
-                                                     out=m), F.coeffs, mag2)
+    """sqrt((dp)^d sum w |c|^2): the terms are formed per block, and summed once, unblocked."""
+    mag2, w = np.empty(F.coeffs.shape), weight.reshape(-1, F.coeffs.shape[-1])  # one row broadcasts to every block
+    _map_blocks(F.spec, lambda b, c, m: _weighted_abs2(c, w if len(w) == 1 else w[b], m), F.coeffs, mag2)
     return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * np.sum(mag2)))
 
 

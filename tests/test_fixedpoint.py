@@ -154,9 +154,17 @@ class TestSolveFixedPoint:
         ps = standard_scenario.ps
         r1 = solve_fixed_point(ps)
         v_start = sample_ball(ps.grid, ps.rho, np.random.default_rng(12))
+        drawn = v_start.values.copy()
         r2 = solve_fixed_point(ps, v_start=v_start)
         diff = norm_h4(RealField(ps.grid, r1.u.values - r2.u.values))
         assert diff < 1e-8
+        assert np.array_equal(v_start.values.view(np.int64), drawn.view(np.int64))  # read, never written
+
+    def test_start_on_another_grid_is_refused(self, standard_scenario):
+        ps = standard_scenario.ps
+        v_start = sample_ball(GridSpec(5, 8, 2.0 * np.pi), 0.5 * ps.rho, np.random.default_rng(12))
+        with pytest.raises(GridMismatch, match="grids differ"):
+            solve_fixed_point(ps, v_start=v_start)
 
     def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
         # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
@@ -177,6 +185,26 @@ class TestSolveFixedPoint:
         k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
         assert (spectral.nd_fft_count() - ffts, calls["solve"]) == (2 * k + 3, k + 1)
         assert calls["compose"] == k + 1
+
+    def test_blocked_pass_count(self, standard_scenario, monkeypatch):
+        # per step: the composition, the multiply, the divide, the step's norms and the next iterate's
+        # irfftn input (the last one's after the loop); u0's solve 4, the zero start's norm 1, and the last
+        # residual's composition, multiply and norms 3
+        passes, blocked = [], spectral._map_blocks
+        monkeypatch.setattr(spectral, "_map_blocks", lambda *a, **kw: passes.append(1) or blocked(*a, **kw))
+        k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
+        assert len(passes) == 5 * k + 8
+
+    def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
+        ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
+
+        def barred(*args):
+            raise AssertionError("a hot path called the calibrated pair")
+
+        for name in ("forward_transform", "inverse_transform"):
+            monkeypatch.setattr(spectral, name, barred)
+        solve_fixed_point(ps)
+        measure_contraction(ps, trials=3, seed=1, u0=u0)
 
     def test_last_iterate_is_ball_checked(self, standard_scenario):
         # stop after 3 steps, with rho between ||v_2||_H4 and ||v_3||_H4: only the returned v_3 leaves the ball
@@ -282,7 +310,7 @@ class TestSampleBall:
         gs = GridSpec(3, 8, 1.0)
         vh = sample_ball_spectrum(gs, 0.7, np.random.default_rng(3))
         v = sample_ball(gs, 0.7, np.random.default_rng(3))
-        assert np.array_equal(spectral.inverse_transform(vh).values, v.values)
+        assert np.array_equal(spectral.inverse_folded(gs, vh.coeffs).values, v.values)
         assert 0.0 < spectral.norm_h4_spectral(vh) <= 0.7 * (1 + 1e-12)
 
 
@@ -468,12 +496,12 @@ class TestThreadedPasses:
         outputs = []
         for cpus in (1, 2):
             submitted = _submits(monkeypatch, cpus)
-            conv = fixedpoint._checked_conv(ps, u0, v, norm_h4(v), overwrite_v=False)
+            conv = fixedpoint._checked_conv(ps, u0, v, norm_h4(v))
             outputs.append([spectral.forward_folded(v), spectral.inverse_folded(grid, vh).values,
                             compose(ps.g, u0, v, ps.interval).values, conv, fixedpoint._solve(ps, conv),
                             fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy()),
                             spectral.norm_h4_spectral(SpectralField(grid, vh)), solve_linear(ps.source).values])
-            assert len(submitted) == (16 if cpus == 2 else 0)  # one pool share per pass
+            assert len(submitted) == (14 if cpus == 2 else 0)  # one pool share per pass
         for one, two in zip(*outputs):
             assert np.array_equal(one, two)
 

@@ -105,15 +105,23 @@ class TestCompose:
     def test_pointwise_oracle(self):
         spec, u0, v = self._fields(seed=8)
         g = Nonlinearity(coeffs=[1.0, 0.1])
+        inputs = u0.values.copy(), v.values.copy()
         out = compose(g, u0, v)
         z = u0.values + v.values
         assert np.max(np.abs(out.values - (z**2 + 0.1 * z**3))) < 1e-15
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip((u0.values, v.values), inputs))
 
     def test_interval_enforced(self):
         spec, u0, v = self._fields(seed=2, scale=1.0)
         tight = IntervalI(-1e-3, 1e-3)
         with pytest.raises(IntervalExceeded):
             compose(Nonlinearity(coeffs=[1.0]), u0, v, tight)
+
+    def test_interval_enforced_when_g_overflows(self):
+        """g of the out-of-range values overflows: the interval error is raised, not a numpy warning."""
+        spec, u0, v = self._fields(seed=2, scale=1e200)
+        with pytest.raises(IntervalExceeded):
+            compose(Nonlinearity(coeffs=[1.0]), u0, v, IntervalI(-1.0, 1.0))
 
 
 class TestC2Distance:
