@@ -27,9 +27,10 @@ from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.95 held (kernel, source,
-# u0, the multiplier, the H4 weight, the int8 phase, |p|^2 per row, a one-block |p|^2 tile, the ball tables), at most
-# 5 on the pair's thread, 4.125 on the draw thread and a pair spectrum (1.25) its arena keeps freed: 17.3, rounded up.
+# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.65 held (kernel, source, u0,
+# the multiplier, the H4 weight, the int8 phase, |p|^2 per row, a one-block |p|^2 tile, the ball tables), at most 4.9
+# on the pair's thread (its spectra, a scaled copy, an inverse transform), 5 on the draw thread (the next pair's
+# spectra, their difference, two norm temporaries) and a pair spectrum (1.25) its arena keeps freed: 17.8, rounded up.
 # Threaded passes (2^20 points up) keep scratch per thread, not n^d: +10 MB for contraction at d5n16, within the model.
 FIELDS = 18
 

@@ -237,11 +237,18 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
 
 
 @lru_cache(maxsize=4)
-def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Flat index of each half-lattice mode's mirror -k mod n, and the damping 0.5 / (1 + |p|^4) times the
-    phase (+-1, so the product is exact): the draws come out folded."""
-    axes, phase = np.ix_(*[(-np.arange(m)) % grid.n for m in grid.half_shape]), spectral.half_lattice(grid).phase
-    return np.ravel_multi_index(axes, grid.shape), 0.5 / (1.0 + spectral.p2(grid) ** 2) * phase
+def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damping phase / (sqrt(2) (1 + |p|^4)) in (rows, last axis) layout, |p|^2 as the blocked passes form it; flat
+    indices of one mode per conjugate pair on the planes k_last = 0 and n/2, of its partner, of the self-conjugate."""
+    lattice, back, m = spectral.half_lattice(grid), (-np.arange(grid.n)) % grid.n, grid.half_shape[-1]
+    damping = lattice.rows_p2[:, None] + lattice.tile[0]
+    damping **= 2
+    damping += 1.0
+    np.divide(np.sqrt(0.5), damping, out=damping)
+    damping *= lattice.phase.reshape(damping.shape)
+    mirror = reduce(lambda a, _: np.add.outer(a * grid.n, back).ravel(), range(grid.d - 1), np.zeros(1, np.intp))
+    rows, planes = np.arange(len(mirror)), lambda r: np.add.outer(r * m, [0, m - 1]).ravel()  # row by row
+    return damping, planes(rows[rows < mirror]), planes(mirror[rows < mirror]), planes(rows[rows == mirror])
 
 
 def sample_ball_spectrum(
@@ -249,25 +256,23 @@ def sample_ball_spectrum(
 ) -> SpectralField:
     """Folded half spectrum (see `spectral`) of a field with H4 norm uniform in (0, rho].
 
-    Spectral coefficients are independent complex Gaussians damped by
-    (1 + |p|^4)^(-1) and Hermitian-symmetrized, coeff(k) averaged with
-    conj(coeff(-k)), then rescaled. The damping spans rough-to-smooth
+    One draw of n^d normals, one per degree of freedom, damped by w = 0.5 / (1 + |p|^4), then rescaled: a mode
+    with 0 < k_last < n/2 takes two in a row as sqrt(2) N(0, 1) w real and imaginary parts; on the planes
+    k_last = 0 and n/2, one mode of each conjugate pair takes the same and its partner their exact conjugate,
+    and a self-conjugate mode takes 2 N(0, 1) w, imaginary part 0. The damping spans rough-to-smooth
     directions while staying in H4. `spectral.inverse_folded` gives the field.
     """
-    mirror, weight = _ball_tables(grid)
-    m, sym = grid.half_shape[-1], np.empty(grid.half_shape, dtype=complex)
-    # n^d real parts, then n^d imaginary parts: the same stream as one draw of 2 n^d, one field less
-    for part, fold in ((sym.real, np.add), (sym.imag, np.subtract)):
-        x = rng.standard_normal(grid.size)
-        fold(x.reshape(grid.shape)[..., :m], x[mirror], out=part)
-        part *= weight
-        del x
+    damping, reps, partners, selfs = _ball_tables(grid)
+    (rows, m), x, sym = damping.shape, rng.standard_normal(grid.size), np.empty(damping.shape, dtype=complex)
+    k, flat, damp = 2 * rows * (m - 2), sym.reshape(-1), damping.reshape(-1)
+    np.multiply(x[:k].view(complex).reshape(rows, m - 2), damping[:, 1:-1], out=sym[:, 1:-1])
+    flat[reps] = x[k : k + 2 * len(reps)].view(complex) * damp[reps]
+    flat[partners] = np.conj(flat[reps])
+    flat[selfs] = np.sqrt(2.0) * x[k + 2 * len(reps) :] * damp[selfs]
     h4 = _h4(grid, sym)
     if h4 == 0.0:
         raise DegeneratePair("sampled field vanished; retry with a new draw")
-    target = rho * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, rho]
-    if target == 0.0:
-        target = rho
+    target = rho * (1.0 - rng.uniform(0.0, 1.0)) or rho  # uniform in (0, rho]; rho where the product underflows
     sym *= target / h4
     return SpectralField(grid, sym)
 
@@ -286,9 +291,9 @@ def measure_contraction(
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn, whose
     folded solve has the H4 norm of the unfolded one.
-    The next pair is drawn on one background thread while this thread measures the current one.
-    The draws take the one generator in order, so the pairs are those of a serial loop; a draw's
-    error is raised when its pair is taken, and the thread is joined on return and on raise.
+    One background thread draws the next pair, with its H4 distance and (unless degenerate) both ball checks,
+    while this thread measures the current one. The draws take the one generator in order, so the pairs are those
+    of a serial loop; an error there is raised when its pair is taken, and the thread is joined on return and raise.
     """
     check_value("run.trials", trials)
     check_value("run.seed", seed)
@@ -298,27 +303,30 @@ def measure_contraction(
     # mapped, faulted in and unmapped per pair (about 250 minor faults per pair at d5n8 otherwise).
     np.empty(min(8 * grid.size, 1 << 21))
 
-    def draw() -> list[np.ndarray]:
-        return [sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2)]
+    def draw() -> tuple[list[np.ndarray], float]:
+        vhs = [sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2)]
+        dist = _h4(grid, vhs[0] - vhs[1])
+        for vh in vhs if dist >= 1e-14 else ():  # a degenerate pair is resampled unchecked
+            _check_ball(ps, _h4(grid, vh))
+        return vhs, dist
 
     ratios: list[float] = []
     distances: list[float] = []
-    with ThreadPoolExecutor(1) as pool:  # leaving the block waits for the draw in flight
+    with ThreadPoolExecutor(1) as pool:  # leaving the block waits for a draw in flight
         ahead = pool.submit(draw)
         while len(ratios) < trials:
-            vhs, ahead = ahead.result(), pool.submit(draw)
-            dist = _h4(grid, vhs[0] - vhs[1])
+            vhs, dist = ahead.result()
+            if dist < 1e-14 or len(ratios) + 1 < trials:  # no pair is drawn and then dropped
+                ahead = pool.submit(draw)
             if dist < 1e-14:
                 continue  # degenerate pair, resample
-            for i in (0, 1):
-                _check_ball(ps, _h4(grid, vhs[i]))
             # each spectrum is freed once its v is built, and each v once g(u0 + v) is
             g1, g2 = (compose(ps.g, u0, spectral.inverse_folded(grid, vhs.pop(0)), ps.interval) for _ in range(2))
             diff = spectral.dft(RealField(grid, g1.values - g2.values))
+            del g1, g2  # freed before the solve, where the pair's work would peak
             diff *= ps.multiplier
-            diff = _solve(ps, diff)
-            ratios.append(_h4(grid, diff) / dist)
-            del g1, g2, diff  # not kept alive through the next pair's draws
+            ratios.append(_h4(grid, _solve(ps, diff)) / dist)
+            del diff  # not kept alive through the next pair's draws
             distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
     return ContractionStats(

@@ -31,7 +31,7 @@ from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
                         NonPositiveInput, OutsideBall, TrivialField)
 from nfs.nonlinearity import IntervalI, Nonlinearity, compose
-from nfs.spectral import norm_h4, norm_l2
+from nfs.spectral import norm_h4, norm_h4_spectral, norm_l2
 
 
 def small_problem(epsilon: float, g=None) -> ProblemSpec:
@@ -44,6 +44,15 @@ def small_problem(epsilon: float, g=None) -> ProblemSpec:
     if g is None:
         g = Nonlinearity(coeffs=[1.0])
     return ProblemSpec(grid=gs, kernel=kernel, source=source, g=g, epsilon=epsilon)
+
+
+def _mode_classes(gs: GridSpec) -> tuple[np.ndarray, ...]:
+    """Masks of the half lattice: modes with 0 < k_last < n/2, modes of a conjugate pair on the planes k_last = 0
+    and n/2, and self-conjugate modes (every k_i 0 or n/2)."""
+    k = np.indices(gs.half_shape)
+    on_plane = (k[-1] == 0) | (k[-1] == gs.n // 2)
+    self_conj = on_plane & np.all((k[:-1] == 0) | (k[:-1] == gs.n // 2), axis=0)
+    return ~on_plane, on_plane & ~self_conj, self_conj
 
 
 def _problem_spec(**changes) -> ProblemSpec:
@@ -313,6 +322,50 @@ class TestSampleBall:
         assert np.array_equal(spectral.inverse_folded(gs, vh.coeffs).values, v.values)
         assert 0.0 < spectral.norm_h4_spectral(vh) <= 0.7 * (1 + 1e-12)
 
+    def test_one_normal_per_degree_of_freedom(self):
+        """A draw asks the generator for n^d normals, damped by a table whose |p|^2 is p2's. Its self-conjugate
+        modes are real, each plane mode is exactly the conjugate of its partner -k mod n, and the spectrum is
+        that of a real field."""
+        gs = GridSpec(5, 8, 4.0 * np.pi)
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.normals = rng, 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                self.normals += np.size(out)
+                return out
+
+        rng = Counting(np.random.default_rng(8))
+        c = sample_ball_spectrum(gs, 1.0, rng).coeffs
+        assert rng.normals == gs.size
+        damping = np.sqrt(0.5) / (1.0 + spectral.p2(gs) ** 2) * spectral.half_lattice(gs).phase  # from p2 bitwise
+        assert np.array_equal(fixedpoint._ball_tables(gs)[0].reshape(gs.half_shape), damping)
+        assert np.all(c.imag[_mode_classes(gs)[2]] == 0.0)
+        for plane in (c[..., 0], c[..., gs.n // 2]):
+            assert np.array_equal(plane[tuple((-np.indices(plane.shape)) % gs.n)], np.conj(plane))
+        back = spectral.forward_folded(spectral.inverse_folded(gs, c))
+        assert np.max(np.abs(back - c)) <= 1e-14 * np.max(np.abs(c))
+
+    def test_mode_variances_by_class(self):
+        """Over 2,000 draws, the class means of Re(c)^2 / w^2 and Im(c)^2 / w^2 (w = 0.5 / (1 + |p|^4)) read
+        2 : 2 on generic and plane-pair modes and 4 : 0 on self-conjugate ones, whatever the stream. Each draw
+        has its own norm, so each is read relative to its generic modes, within 5 standard errors."""
+        gs, draws = GridSpec(5, 8, 4.0 * np.pi), 2000
+        classes, inv_w2 = _mode_classes(gs), ((1.0 + spectral.p2(gs) ** 2) / 0.5) ** 2
+        rng, reads = np.random.default_rng(17), np.empty((draws, 3, 2))
+        for i in range(draws):
+            c = sample_ball_spectrum(gs, 1.0, rng).coeffs
+            reads[i] = [[np.mean(np.square(p[mask]) * inv_w2[mask]) for p in (c.real, c.imag)] for mask in classes]
+        reads /= reads[:, :1, :].sum(axis=2, keepdims=True) / 4.0  # generic Re + Im reads 4 in every draw
+        mean, err = reads.mean(axis=0), reads.std(axis=0) / np.sqrt(draws)
+        assert np.all(np.abs(mean - [[2.0, 2.0], [2.0, 2.0], [4.0, 0.0]]) <= 5.0 * err)
+        assert np.all(reads[:, 2, 1] == 0.0)
+
 
 class TestMeasureContraction:
     def test_zero_epsilon_all_zero(self):
@@ -362,7 +415,7 @@ class TestMeasureContraction:
         threads, error = threading.active_count(), None
         try:
             measure_contraction(ps, trials=6, seed=5, u0=u0)
-        except (IntervalExceeded, DegeneratePair) as e:
+        except (IntervalExceeded, DegeneratePair, OutsideBall) as e:
             error = type(e)
         assert threading.active_count() == threads
         return ranges, error
@@ -391,6 +444,31 @@ class TestMeasureContraction:
         monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", failing)
         made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch)
         assert (len(made), error) == (4, DegeneratePair)  # both earlier pairs measured
+
+    def test_ball_check_fails_when_its_pair_is_taken(self, standard_scenario, monkeypatch):
+        """The draw thread's ball check fails the third pair; the error is raised when that pair is taken."""
+        draws = []
+
+        def outside(grid, rho, rng):
+            draws.append(1)
+            vh = sample_ball_spectrum(grid, rho, rng)
+            return SpectralField(grid, vh.coeffs * (2.0 * rho / norm_h4_spectral(vh))) if len(draws) == 6 else vh
+
+        monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", outside)
+        made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch)
+        assert (len(made), error, len(draws)) == (4, OutsideBall, 6)
+
+    def test_two_draws_per_pair_taken(self, standard_scenario, monkeypatch):
+        """No pair is drawn ahead and then dropped: 20 pairs take 40 draws."""
+        draws = []
+
+        def counting(grid, rho, rng):
+            draws.append(1)
+            return sample_ball_spectrum(grid, rho, rng)
+
+        monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", counting)
+        stats = measure_contraction(standard_scenario.ps, 20, 6, standard_scenario.u0)
+        assert len(stats.ratios) == 20 and len(draws) == 40
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the mmap and trim thresholds are glibc's")
     def test_pairs_reuse_the_heap(self):

@@ -140,14 +140,33 @@ def test_any_problem_matches_full_spectrum_reference(d, sigma, coeffs, eps_scale
 
 
 def reference_draw(fs, rho, rng):
-    """A ball draw symmetrized on the full lattice and transformed in full."""
-    shape = fs.spec.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    raw = raw / (1.0 + fs.p2**2)
-    rev = raw
-    for axis in range(fs.spec.d):
+    """A ball draw from n^d normals, Hermitian-extended on the full lattice and transformed in full.
+
+    The normals are taken in the documented order, each damped by w = 0.5 / (1 + |p|^4): two per mode with
+    0 < k_last < n/2 (sqrt(2) N w real and imaginary parts), then two per conjugate pair of the planes
+    k_last = 0 and n/2 (the same, pair by pair over both planes, its partner the conjugate), then one per
+    self-conjugate mode (2 N w). The field is rescaled to an H4 norm uniform in (0, rho].
+    """
+    n, d = fs.spec.n, fs.spec.d
+    m, rows = n // 2 + 1, n ** (d - 1)
+    x = rng.standard_normal(fs.spec.size)
+    half = np.zeros((rows, m), dtype=complex)
+    k = rows * (n - 2)
+    half[:, 1:-1] = np.sqrt(2.0) * (x[0:k:2] + 1j * x[1:k:2]).reshape(rows, m - 2)
+    mirror = np.ravel_multi_index(tuple((-np.indices((n,) * (d - 1)).reshape(d - 1, -1)) % n), (n,) * (d - 1))
+    reps, selfs = np.flatnonzero(np.arange(rows) < mirror), np.flatnonzero(np.arange(rows) == mirror)
+    pairs = np.sqrt(2.0) * (x[k : k + 4 * len(reps) : 2] + 1j * x[k + 1 : k + 4 * len(reps) : 2]).reshape(-1, 2)
+    ends = 2.0 * x[k + 4 * len(reps) :].reshape(-1, 2)
+    for plane, col in ((0, 0), (1, m - 1)):
+        half[reps, col] = pairs[:, plane]
+        half[mirror[reps], col] = np.conj(pairs[:, plane])
+        half[selfs, col] = ends[:, plane]
+    half = half.reshape(fs.spec.shape[:-1] + (m,)) * (0.5 / (1.0 + fs.p2[..., :m] ** 2))
+    rev = half
+    for axis in range(d - 1):
         rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    f = fs.inverse(0.5 * (raw + np.conj(rev)))
+    full = np.concatenate([half, np.conj(rev[..., m - 2 : 0 : -1])], axis=-1)
+    f = fs.inverse(full)
     target = rho * (1.0 - rng.uniform(0.0, 1.0))
     return f * (target / fs.h4(fs.forward(f)))
 
