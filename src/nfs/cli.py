@@ -30,7 +30,8 @@ BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
 # Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.65 held (kernel, source, u0,
 # the multiplier, the H4 weight, the int8 phase, |p|^2 per row, a one-block |p|^2 tile, the ball tables), at most 4.9
 # on the pair's thread (its spectra, a scaled copy, an inverse transform), 5 on the draw thread (the next pair's
-# spectra, their difference, two norm temporaries) and a pair spectrum (1.25) its arena keeps freed: 17.8, rounded up.
+# spectra, their difference, two one-block norm temporaries: at d5n8 a block is the spectrum) and a pair spectrum
+# (1.25) its arena keeps freed: 17.8, rounded up.
 # Threaded passes (2^20 points up) keep scratch per thread, not n^d: +10 MB for contraction at d5n16, within the model.
 FIELDS = 18
 

@@ -12,11 +12,13 @@ that folds the spectrum, and a blocked divide by |p|^2 + |p|^4. Every
 eps K conv g(u0 + v) is taken on one path, after the ball and the interval checks
 (every step's, apply_tg's and the last iterate's), so the returned u is checked
 like any other iterate. eps = 0 needs no special case: the multiplier is then 0,
-and the solve of an all-zero spectrum is zero. One blocked pass per step reads the
-residual, the step norm and the iterate norm off spectra already in hand. On a
-grid with threaded nd-FFTs, every elementwise pass of a step runs on every CPU as
-well, bitwise as on one (`spectral._map_blocks`). A contraction pair keeps both
-draws as folded spectra: 2 irfftn for the compositions and 1 rfftn of their difference.
+and `solve_linear_full`, which each step calls directly, solves an all-zero spectrum
+to zero. One blocked pass per step reads the residual, the step norm and the iterate
+norm off spectra already in hand. On a grid with threaded nd-FFTs, every elementwise
+pass of a step runs on every CPU as well, bitwise as on one (`spectral._map_blocks`).
+A contraction pair keeps both draws as folded spectra: 2 irfftn for the compositions
+and 1 rfftn of their difference, whose product with the multiplier is the step's
+(`_folded_conv`).
 The iteration is plain (no acceleration): its geometric decay is measured."""
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
 from .config import check_value
 from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch, NotConverged,
-                     OutsideBall, TrivialField, TrivialSource)
+                     OutsideBall, TrivialField)
 from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
 from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
@@ -56,7 +58,7 @@ class ProblemSpec:
     tol_fp: float = 1e-10
     max_iter: int = 200
     project_mean: bool = False
-    # eps (2 pi)^(d/2) K^ times scale: times dft(G), the folded spectrum of eps K conv G
+    # eps (2 pi)^(d/2) K^ times scale, zero mode 0: times dft(G), the folded spectrum of eps K conv G (`_folded_conv`)
     multiplier: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,6 +76,7 @@ class ProblemSpec:
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
         # the heap grows past them and the loop's peak RSS rises
         self.multiplier = coupling * kh * spectral.half_lattice(self.grid).scale
+        self.multiplier[(0,) * self.grid.d] = 0.0  # dropped, as the mean-projected solve and the residual drop it
 
     @property
     def certified(self) -> bool:
@@ -122,26 +125,18 @@ def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
         raise OutsideBall(f"||v||_H4 = {v_h4} exceeds rho = {ps.rho}")
 
 
-def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float) -> np.ndarray:
-    """Folded half spectrum of eps K conv g(u0 + v), after the ball and the interval checks.
-
-    It is dft(G) times the multiplier, zero mode dropped (as the mean-projected solve and the
-    residual drop it), so at eps = 0 it is all zero. G is freed on return,
-    before a caller's solve allocates (one real field less at the peak).
-    """
-    _check_ball(ps, v_h4)
-    conv = spectral.dft(compose(ps.g, u0, v, ps.interval))
+def _folded_conv(ps: ProblemSpec, G: RealField) -> np.ndarray:
+    """Folded half spectrum of eps K conv G: dft(G) times the multiplier, in blocks; at eps = 0 all zero."""
+    conv = spectral.dft(G)
     spectral._map_blocks(ps.grid, lambda b, c, m: np.multiply(c, m, out=c), conv, ps.multiplier)
-    conv[(0,) * ps.grid.d] = 0.0
     return conv
 
 
-def _solve(ps: ProblemSpec, conv: np.ndarray) -> np.ndarray:
-    """Half spectrum (folded if `conv` is) of the mean-projected solve of `conv`; zero for an all-zero one."""
-    try:
-        return solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs
-    except TrivialSource:  # the solve's own all-zero scan, the one per step
-        return np.zeros_like(conv)
+def _checked_conv(ps: ProblemSpec, u0: RealField, v: RealField, v_h4: float) -> np.ndarray:
+    """Folded half spectrum of eps K conv g(u0 + v), after the ball and the interval checks. G is freed on
+    return, before a caller's solve allocates (one real field less at the peak)."""
+    _check_ball(ps, v_h4)
+    return _folded_conv(ps, compose(ps.g, u0, v, ps.interval))
 
 
 def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tuple[float, float, float]:
@@ -168,8 +163,8 @@ def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tupl
 
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
-    out = _solve(ps, _checked_conv(ps, u0, v, spectral.norm_h4(v)))
-    return spectral.inverse_folded(ps.grid, out)
+    conv = _checked_conv(ps, u0, v, spectral.norm_h4(v))
+    return spectral.inverse_folded(ps.grid, solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs)
 
 
 def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> SolveReport:
@@ -194,7 +189,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     for _ in range(ps.max_iter):
         conv = _checked_conv(ps, u0, v, v_h4)
         del v
-        vh_next = _solve(ps, conv)
+        vh_next = solve_linear_full(SpectralField(grid, conv), project=True).coeffs
         prev = trace.step_h4[-1] if trace.step_h4 else None
         res, step, v_h4 = _step_norms(grid, vh, conv if prev is not None else None, vh_next)
         del conv
@@ -322,10 +317,9 @@ def measure_contraction(
                 continue  # degenerate pair, resample
             # each spectrum is freed once its v is built, and each v once g(u0 + v) is
             g1, g2 = (compose(ps.g, u0, spectral.inverse_folded(grid, vhs.pop(0)), ps.interval) for _ in range(2))
-            diff = spectral.dft(RealField(grid, g1.values - g2.values))
+            diff = _folded_conv(ps, RealField(grid, g1.values - g2.values))
             del g1, g2  # freed before the solve, where the pair's work would peak
-            diff *= ps.multiplier
-            ratios.append(_h4(grid, _solve(ps, diff)) / dist)
+            ratios.append(_h4(grid, solve_linear_full(SpectralField(grid, diff), project=True).coeffs) / dist)
             del diff  # not kept alive through the next pair's draws
             distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None

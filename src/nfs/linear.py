@@ -39,10 +39,9 @@ class SequenceReport:
 def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField:
     """Divide the right-hand side's half spectrum by |p|^2 + |p|^4, zero mode dropped.
 
-    Unless `project`, a zero mode above ZERO_MODE_TOL * ||f||_L2 is refused.
+    Unless `project`, a zero mode above ZERO_MODE_TOL * ||f||_L2 is refused. An all-zero
+    spectrum solves to zero (the Picard step's at eps = 0); `solve_linear` refuses a zero source.
     """
-    if not np.any(fh.coeffs):
-        raise TrivialSource("right-hand side is identically zero")
     zero = (0,) * fh.spec.d
     if not project:
         zero_mass = abs(fh.coeffs[zero])
@@ -59,6 +58,8 @@ def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField
 
 
 def solve_linear(f: RealField, project: bool = False) -> RealField:
+    if not np.any(f.values):
+        raise TrivialSource("right-hand side is identically zero")
     uh = solve_linear_full(SpectralField(f.spec, spectral.forward_folded(f)), project)  # the phase is +1 at 0
     return spectral.inverse_folded(f.spec, uh.coeffs)
 

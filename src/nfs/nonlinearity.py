@@ -127,7 +127,7 @@ def compose(g: Nonlinearity, u0: RealField, v: RealField, interval: IntervalI | 
         return lo_hi
 
     G = np.empty_like(v.values)
-    lo_hi = spectral._map_blocks(u0.spec, block, u0.values, v.values, G, field=True)
+    lo_hi = spectral._map_blocks(u0.spec, block, u0.values, v.values, G)
     if interval is not None:
         lo, hi = np.minimum.reduce([r[0] for r in lo_hi]), np.maximum.reduce([r[1] for r in lo_hi])  # NaN stays
         if lo < interval.lower - INTERVAL_SLACK or hi > interval.upper + INTERVAL_SLACK:

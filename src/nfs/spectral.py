@@ -20,11 +20,12 @@ scale * DFT: the phase flips signs exactly, so every |coeff|^2, and with it ever
 norm, is bitwise the same, and the transforms of a folded spectrum need only the
 scalar scale. The Picard loop and the ball draws work on folded spectra; the
 calibrated pair is the folded pair with one multiply by the phase. Every norm forms
-its terms w |coeff|^2 in one kernel (`_weighted_abs2`). The H4 weight is the one
-full-size float table kept per grid: blocked passes view a half spectrum as (rows,
-last axis) and form |p|^2 on a block of rows from a row part and a last-axis part,
-the last step of p2's fold, so bitwise p2's value. Where nd-FFTs are threaded, so are
-the blocked passes (`_map_blocks`), with each block's serial arithmetic and order.
+its terms w |coeff|^2 in one kernel (`_weighted_abs2`), sums them per block and adds
+the block sums in block order. The H4 weight is the one full-size float table kept
+per grid: blocked passes view every array as (n^(d-1) rows, its last axis) and form
+|p|^2 on a block of rows from a row part and a last-axis part, the last step of p2's
+fold, so bitwise p2's value. Where nd-FFTs are threaded, so are the blocked passes
+(`_map_blocks`), with each block's serial arithmetic and order.
 """
 
 from __future__ import annotations
@@ -98,13 +99,15 @@ def half_lattice(spec: GridSpec) -> HalfLattice:
     return HalfLattice(*arrays, scale=spec.spacing**spec.d * (2.0 * np.pi) ** (-spec.d / 2.0))
 
 
-def _map_blocks(spec: GridSpec, fn, *arrays: np.ndarray | None, field: bool = False) -> list:
-    """[fn(b, *each array's block b)] over the blocks of rows of a half spectrum, or of a field's flat values. With
+def _map_blocks(spec: GridSpec, fn, *arrays: np.ndarray | None) -> list:
+    """[fn(b, *each array's block b)] over blocks of rows: each array is viewed as (n^(d-1) rows, its last axis), and
+    a block is BLOCK // row length rows, 2^16 values of a field or len(tile) rows of a half spectrum. With
     w = _workers(spec) > 1, thread t takes blocks t, t + w, ... (the caller's share first, in its numpy error
     state). fn calls no public nfs function, so that a profiler wrapping those sees one thread."""
-    rows, step = (spec.size, BLOCK) if field else (len(half_lattice(spec).rows_p2), len(half_lattice(spec).tile))
+    rows = spec.size // spec.n
+    views = [a if a is None else a.reshape(rows, -1) for a in arrays]
+    step = max(1, BLOCK // next(a.shape[1] for a in views if a is not None))
     blocks, w = [slice(i, i + step) for i in range(0, rows, step)], _workers(spec)
-    views = [a if a is None else a.reshape(-1 if field else (-1, a.shape[-1])) for a in arrays]
 
     def share(t: int) -> list:
         return [fn(b, *[a if a is None else a[b] for a in views]) for b in blocks[t::w]]
@@ -203,19 +206,19 @@ def norm_linf(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def _weighted_abs2(c: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """w |c|^2 (into `out` if given): the terms of every spectral norm, each formed the same way."""
-    out = np.square(c.real, out=out)
+def _weighted_abs2(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w |c|^2: the terms of every spectral norm, each formed the same way."""
+    out = np.square(c.real)
     out += np.square(c.imag)
     out *= w
     return out
 
 
 def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
-    """sqrt((dp)^d sum w |c|^2): the terms are formed per block, and summed once, unblocked."""
-    mag2, w = np.empty(F.coeffs.shape), weight.reshape(-1, F.coeffs.shape[-1])  # one row broadcasts to every block
-    _map_blocks(F.spec, lambda b, c, m: _weighted_abs2(c, w if len(w) == 1 else w[b], m), F.coeffs, mag2)
-    return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * np.sum(mag2)))
+    """sqrt((dp)^d sum w |c|^2): each block's terms are summed, and the block sums added in block order."""
+    w = np.broadcast_to(weight, F.coeffs.shape)  # a view: the Hermitian row is not copied to every row
+    sums = _map_blocks(F.spec, lambda b, c, wb: np.sum(_weighted_abs2(c, wb)), F.coeffs, w)
+    return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * sum(sums)))
 
 
 def norm_l2_spectral(F: SpectralField) -> float:

@@ -204,6 +204,23 @@ class TestSolveFixedPoint:
         k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
         assert len(passes) == 5 * k + 8
 
+    def test_contraction_pair_pass_count(self, standard_scenario, monkeypatch):
+        # per pair on this thread: the 2 irfftn inputs, the 2 compositions, the multiply, the divide and the
+        # ratio's norm; on the draw thread: the 2 draws' norms, their distance and the 2 ball checks
+        u0, threads, blocked = standard_scenario.u0, [], spectral._map_blocks  # u0 solved outside the count
+        monkeypatch.setattr(spectral, "_map_blocks",
+                            lambda *a, **kw: threads.append(threading.current_thread()) or blocked(*a, **kw))
+        measure_contraction(standard_scenario.ps, trials=4, seed=3, u0=u0)
+        here = sum(t is threading.current_thread() for t in threads)
+        assert (here, len(threads) - here) == (7 * 4, 5 * 4)
+
+    def test_one_full_size_any_per_solve(self, standard_scenario, monkeypatch):
+        # the u0 source check in solve_linear; the loop's solves scan nothing
+        ps, sizes, any_ = standard_scenario.ps, [], np.any
+        monkeypatch.setattr(np, "any", lambda a, *args, **kw: sizes.append(np.size(a)) or any_(a, *args, **kw))
+        solve_fixed_point(ps)
+        assert sum(size >= np.prod(ps.grid.half_shape) for size in sizes) == 1
+
     def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
 
@@ -266,6 +283,18 @@ class TestStepNorms:
         assert res_only == pytest.approx((want[0], 0.0, 0.0), rel=1e-13, abs=0.0)
         assert step_only == pytest.approx((0.0, *want[1:]), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("d, n", [(5, 16), (7, 8)], ids=["d5n16", "d7n8"])
+    def test_iterate_norm_is_the_spectral_norm_bitwise(self, d, n):
+        """Both sum the terms per block and add the block sums in block order."""
+        grid, differ = GridSpec(d, n, 4.0 * np.pi), []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            vh, vh_next = (rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+                           for _ in range(2))
+            if norm_h4_spectral(SpectralField(grid, vh_next)) != fixedpoint._step_norms(grid, vh, None, vh_next)[2]:
+                differ.append(seed)
+        assert differ == []
+
 
 class TestAssembleProblem:
     def test_three_transforms(self, standard_scenario):
@@ -279,6 +308,12 @@ class TestAssembleProblem:
         assert ap.u0 is u0 and spectral.nd_fft_count() - ffts == 4
         assert np.array_equal(u0.values, solve_linear(ps.source, ps.project_mean).values)
         assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
+
+    def test_zero_source_is_a_trivial_field(self, standard_scenario):
+        # its spectrum solves to zero, and ProblemSpec refuses it: an AssumptionError, exit code 3
+        ps = standard_scenario.ps
+        with pytest.raises(TrivialField, match="nontrivial"):
+            pipeline.assemble_problem(ps.grid, ps.kernel, zeros_like(ps.grid), ps.g)
 
     def test_overflowing_source_names_u0_h4(self, standard_scenario):
         ps = standard_scenario.ps
@@ -576,7 +611,8 @@ class TestThreadedPasses:
             submitted = _submits(monkeypatch, cpus)
             conv = fixedpoint._checked_conv(ps, u0, v, norm_h4(v))
             outputs.append([spectral.forward_folded(v), spectral.inverse_folded(grid, vh).values,
-                            compose(ps.g, u0, v, ps.interval).values, conv, fixedpoint._solve(ps, conv),
+                            compose(ps.g, u0, v, ps.interval).values, conv,
+                            solve_linear_full(SpectralField(grid, conv), project=True).coeffs,
                             fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy()),
                             spectral.norm_h4_spectral(SpectralField(grid, vh)), solve_linear(ps.source).values])
             assert len(submitted) == (14 if cpus == 2 else 0)  # one pool share per pass

@@ -187,14 +187,30 @@ class TestMapBlocks:
         monkeypatch.setattr(spectral, "CPUS", 2)
         spec, done = GridSpec(5, 16, 1.0), []
 
-        def fn(b):
+        def fn(b, c):
             if b.start == 7281:  # block 1: the pool's share
                 raise ValueError("block 1")
             done.append(b.start)
 
         with pytest.raises(ValueError, match="block 1"):
-            spectral._map_blocks(spec, fn)
+            spectral._map_blocks(spec, fn, np.zeros(spec.half_shape, complex))  # the block rule reads its rows
         assert sorted(done) == [0, 2 * 7281, 4 * 7281, 6 * 7281, 8 * 7281]  # the caller's share, all of it
+
+
+def test_norm_keeps_no_full_size_temporary(monkeypatch):
+    """An H4 norm on a grid of ten blocks holds two float blocks of terms per thread, on 2 threads: under 3 complex
+    blocks, where one full-size array of terms alone is 4.5 complex blocks."""
+    monkeypatch.setattr(spectral, "CPUS", 2)
+    spec = GridSpec(5, 16, 4.0 * np.pi)
+    F, block = SpectralField(spec, np.ones(spec.half_shape, complex)), 16 * spectral.half_lattice(spec).tile.size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectral.norm_h4_spectral(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * block
 
 
 def test_transform_count_loses_none_between_threads():
