@@ -26,7 +26,7 @@ from .fixedpoint import (
     sample_ball_spectrum,
     solve_fixed_point,
 )
-from .grid import GridSpec, RealField, SpectralField, read_field, write_field
+from .grid import GridSpec, RealField, read_field, write_field
 from .linear import sequence_experiment, solve_linear
 from .nonlinearity import (
     IntervalI,

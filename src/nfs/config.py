@@ -149,7 +149,8 @@ KEYS = (
     ("grid.dimension", "dimension", _INT, None, None),  # the grid's rules are check_grid's
     ("grid.n", "n", _INT, None, None),
     ("grid.half_width", "half_width", _FLOAT, None, None),
-    ("run.epsilon", "epsilon", _EPSILON, None, (lambda x: x is None or x >= 0, "must be nonnegative")),
+    ("run.epsilon", "epsilon", _EPSILON, None,
+     (lambda x: x is None or 0 <= x < math.inf, "must be finite and nonnegative")),
     ("run.rho", "rho", _FLOAT, None, (lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")),
     ("run.tol_fp", "tol_fp", _FLOAT, None, _POSITIVE),
     ("run.max_iter", "max_iter", _INT, None, _COUNT),

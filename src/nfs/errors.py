@@ -47,12 +47,8 @@ class IntervalExceeded(AssumptionError):
     """Pointwise values of u0 + v left the certified interval."""
 
 
-class TrivialSource(AssumptionError):
-    """Right-hand side is identically zero."""
-
-
 class TrivialField(AssumptionError):
-    """A built kernel or source vanishes identically."""
+    """A kernel, source or right-hand side vanishes identically."""
 
 
 class NonDecayingSource(AssumptionError):

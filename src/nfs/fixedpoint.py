@@ -6,9 +6,10 @@ The auxiliary map sends v to the solution u of
 
 a strict contraction on the closed ball of radius rho in H4 whenever the
 coupling eps stays below the certified threshold. The iterate is kept as its
-folded half spectrum (see `spectral`), and a step is one irfftn, the pointwise g,
-one rfftn, a multiply by the fixed eps (2 pi)^(d/2) K^, which carries the phase
-that folds the spectrum, and a blocked divide by |p|^2 + |p|^4. Every
+folded half spectrum, an array passed after its grid as every spectrum is (see
+`spectral`), and a step is one irfftn, the pointwise g, one rfftn, a multiply by
+the fixed eps (2 pi)^(d/2) K^, which carries the phase that folds the spectrum,
+and a blocked divide by |p|^2 + |p|^4. Every
 eps K conv g(u0 + v) is taken on one path, after the ball and the interval checks
 (every step's, apply_tg's and the last iterate's), so the returned u is checked
 like any other iterate. eps = 0 needs no special case: the multiplier is then 0,
@@ -35,7 +36,7 @@ from .bounds import BoundsSnapshot, continuity_bound
 from .config import check_value
 from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch, NotConverged,
                      OutsideBall, TrivialField)
-from .grid import GridSpec, RealField, SpectralField, check_same_grid, zeros_like
+from .grid import GridSpec, RealField, check_same_grid, zeros_like
 from .linear import solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
 
@@ -68,10 +69,11 @@ class ProblemSpec:
         check_value("run.rho", self.rho)
         if self.epsilon is None:  # the config's "auto"
             raise ConfigError("run.epsilon must be a number here, as only assemble_problem resolves auto; got None")
-        check_value("run.epsilon", self.epsilon)
+        for key in ("epsilon", "tol_fp", "max_iter"):
+            check_value(f"run.{key}", getattr(self, key))
         if not np.any(self.kernel.values) or not np.any(self.source.values):
             raise TrivialField("kernel and source must be nontrivial")
-        kh = spectral.forward_transform(self.kernel).coeffs
+        kh = spectral.forward_transform(self.kernel)
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
         # the heap grows past them and the loop's peak RSS rises
@@ -114,10 +116,6 @@ class ContinuityReport:
     bound: float
     g_distance: float
     verdict: bool
-
-
-def _h4(grid: GridSpec, coeffs: np.ndarray) -> float:
-    return spectral.norm_h4_spectral(SpectralField(grid, coeffs))
 
 
 def _check_ball(ps: ProblemSpec, v_h4: float) -> None:
@@ -164,7 +162,7 @@ def _step_norms(grid: GridSpec, vh: np.ndarray, conv=None, vh_next=None) -> tupl
 def apply_tg(v: RealField, ps: ProblemSpec, u0: RealField) -> RealField:
     """One application of the auxiliary map; mean of the convolution projected."""
     conv = _checked_conv(ps, u0, v, spectral.norm_h4(v))
-    return spectral.inverse_folded(ps.grid, solve_linear_full(SpectralField(ps.grid, conv), project=True).coeffs)
+    return spectral.inverse_folded(ps.grid, solve_linear_full(ps.grid, conv, project=True))
 
 
 def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> SolveReport:
@@ -183,13 +181,13 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
         v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
     else:
         v, vh = v_start, spectral.forward_folded(v_start)
-    v_h4 = _h4(grid, vh)
+    v_h4 = spectral.norm_h4_spectral(grid, vh)
     trace = IterationTrace()
     grow_streak = 0
     for _ in range(ps.max_iter):
         conv = _checked_conv(ps, u0, v, v_h4)
         del v
-        vh_next = solve_linear_full(SpectralField(grid, conv), project=True).coeffs
+        vh_next = solve_linear_full(grid, conv, project=True)
         prev = trace.step_h4[-1] if trace.step_h4 else None
         res, step, v_h4 = _step_norms(grid, vh, conv if prev is not None else None, vh_next)
         del conv
@@ -222,13 +220,13 @@ def residual(u: RealField, ps: ProblemSpec) -> float:
     residual is meaningful only on the projected complement; projection here
     matches the mean handling of the solve.
     """
-    uh = spectral.forward_transform(u).coeffs
+    uh = spectral.forward_transform(u)
     p2 = spectral.p2(ps.grid)
     conv = spectral.convolve(ps.kernel, RealField(ps.grid, ps.g.g(u.values)))
     rh = spectral.forward_transform(RealField(ps.grid, ps.source.values + ps.epsilon * conv.values))
-    res = rh.coeffs - (uh * p2 + uh * p2**2)  # [lap - lap^2]u = -(|p|^2 + |p|^4) u^
+    res = rh - (uh * p2 + uh * p2**2)  # [lap - lap^2]u = -(|p|^2 + |p|^4) u^
     res[(0,) * ps.grid.d] = 0.0
-    return spectral.norm_l2_spectral(SpectralField(ps.grid, res))
+    return spectral.norm_l2_spectral(ps.grid, res)
 
 
 @lru_cache(maxsize=4)
@@ -246,9 +244,7 @@ def _ball_tables(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return damping, planes(rows[rows < mirror]), planes(mirror[rows < mirror]), planes(rows[rows == mirror])
 
 
-def sample_ball_spectrum(
-    grid: GridSpec, rho: float, rng: np.random.Generator
-) -> SpectralField:
+def sample_ball_spectrum(grid: GridSpec, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Folded half spectrum (see `spectral`) of a field with H4 norm uniform in (0, rho].
 
     One draw of n^d normals, one per degree of freedom, damped by w = 0.5 / (1 + |p|^4), then rescaled: a mode
@@ -258,25 +254,25 @@ def sample_ball_spectrum(
     directions while staying in H4. `spectral.inverse_folded` gives the field.
     """
     damping, reps, partners, selfs = _ball_tables(grid)
-    (rows, m), x, sym = damping.shape, rng.standard_normal(grid.size), np.empty(damping.shape, dtype=complex)
+    (rows, m), x, sym = damping.shape, rng.standard_normal(grid.size), np.empty(grid.half_shape, dtype=complex)
     k, flat, damp = 2 * rows * (m - 2), sym.reshape(-1), damping.reshape(-1)
-    np.multiply(x[:k].view(complex).reshape(rows, m - 2), damping[:, 1:-1], out=sym[:, 1:-1])
+    np.multiply(x[:k].view(complex).reshape(rows, m - 2), damping[:, 1:-1], out=sym.reshape(rows, m)[:, 1:-1])
     flat[reps] = x[k : k + 2 * len(reps)].view(complex) * damp[reps]
     flat[partners] = np.conj(flat[reps])
     flat[selfs] = np.sqrt(2.0) * x[k + 2 * len(reps) :] * damp[selfs]
-    h4 = _h4(grid, sym)
+    h4 = spectral.norm_h4_spectral(grid, sym)
     if h4 == 0.0:
         raise DegeneratePair("sampled field vanished; retry with a new draw")
     target = rho * (1.0 - rng.uniform(0.0, 1.0)) or rho  # uniform in (0, rho]; rho where the product underflows
     sym *= target / h4
-    return SpectralField(grid, sym)
+    return sym
 
 
 def sample_ball(
     grid: GridSpec, rho: float, rng: np.random.Generator
 ) -> RealField:
     """Draw a field with H4 norm uniform in (0, rho]; see sample_ball_spectrum."""
-    return spectral.inverse_folded(grid, sample_ball_spectrum(grid, rho, rng).coeffs)
+    return spectral.inverse_folded(grid, sample_ball_spectrum(grid, rho, rng))
 
 
 def measure_contraction(
@@ -299,10 +295,10 @@ def measure_contraction(
     np.empty(min(8 * grid.size, 1 << 21))
 
     def draw() -> tuple[list[np.ndarray], float]:
-        vhs = [sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2)]
-        dist = _h4(grid, vhs[0] - vhs[1])
+        vhs = [sample_ball_spectrum(grid, ps.rho, rng) for _ in range(2)]
+        dist = spectral.norm_h4_spectral(grid, vhs[0] - vhs[1])
         for vh in vhs if dist >= 1e-14 else ():  # a degenerate pair is resampled unchecked
-            _check_ball(ps, _h4(grid, vh))
+            _check_ball(ps, spectral.norm_h4_spectral(grid, vh))
         return vhs, dist
 
     ratios: list[float] = []
@@ -319,7 +315,7 @@ def measure_contraction(
             g1, g2 = (compose(ps.g, u0, spectral.inverse_folded(grid, vhs.pop(0)), ps.interval) for _ in range(2))
             diff = _folded_conv(ps, RealField(grid, g1.values - g2.values))
             del g1, g2  # freed before the solve, where the pair's work would peak
-            ratios.append(_h4(grid, solve_linear_full(SpectralField(grid, diff), project=True).coeffs) / dist)
+            ratios.append(spectral.norm_h4_spectral(grid, solve_linear_full(grid, diff, project=True)) / dist)
             del diff  # not kept alive through the next pair's draws
             distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None

@@ -1,7 +1,8 @@
-"""Periodic-box grid, sampled fields, and the NFS1 dump format.
+"""Periodic-box grid, real sampled fields, and the NFS1 dump format.
 
 The box is [-L, L)^d with n samples per axis (n a power of two); the dual
-lattice carries frequencies p_k = (pi/L) k with k in [-n/2, n/2)^d.
+lattice carries frequencies p_k = (pi/L) k with k in [-n/2, n/2)^d. A spectrum
+has no container: it is a complex array of `half_shape`, passed after its grid.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,19 +96,6 @@ class RealField:
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
-
-
-@dataclass
-class SpectralField:
-    """Half spectrum of a real field on the dual lattice, rfftn layout."""
-
-    spec: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.spec.half_shape:
-            self.coeffs = self.coeffs.reshape(self.spec.half_shape)
 
 
 def check_same_grid(a, b):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import spectral
 from .bounds import sphere_measure
-from .errors import NonDecayingSource, TrivialSource
-from .grid import RealField, SpectralField
+from .errors import NonDecayingSource, TrivialField
+from .grid import GridSpec, RealField
 
 
 ZERO_MODE_TOL = 1e-10
@@ -36,32 +36,32 @@ class SequenceReport:
         return all(self.ok)
 
 
-def solve_linear_full(fh: SpectralField, project: bool = False) -> SpectralField:
+def solve_linear_full(spec: GridSpec, fh: np.ndarray, project: bool = False) -> np.ndarray:
     """Divide the right-hand side's half spectrum by |p|^2 + |p|^4, zero mode dropped.
 
     Unless `project`, a zero mode above ZERO_MODE_TOL * ||f||_L2 is refused. An all-zero
     spectrum solves to zero (the Picard step's at eps = 0); `solve_linear` refuses a zero source.
     """
-    zero = (0,) * fh.spec.d
+    zero = (0,) * spec.d
     if not project:
-        zero_mass = abs(fh.coeffs[zero])
-        l2, tol = spectral.norm_l2_spectral(fh), ZERO_MODE_TOL
+        zero_mass = abs(fh[zero])
+        l2, tol = spectral.norm_l2_spectral(spec, fh), ZERO_MODE_TOL
         if zero_mass > tol * l2:
             raise NonDecayingSource(
                 f"zero-mode mass {zero_mass:.3e} exceeds {tol:.1e} * "
                 f"||f||_L2 = {tol * l2:.3e}; use run.mean_policy = project, or project=True"
             )
-    coeffs, lattice = np.empty(fh.spec.half_shape, complex), spectral.half_lattice(fh.spec)
-    spectral._map_blocks(fh.spec, lambda b, rhs, out: np.divide(rhs, lattice.symbol(b), out=out), fh.coeffs, coeffs)
+    coeffs, lattice = np.empty(spec.half_shape, complex), spectral.half_lattice(spec)
+    spectral._map_blocks(spec, lambda b, rhs, out: np.divide(rhs, lattice.symbol(b), out=out), fh, coeffs)
     coeffs[zero] = 0.0
-    return SpectralField(fh.spec, coeffs)
+    return coeffs
 
 
 def solve_linear(f: RealField, project: bool = False) -> RealField:
     if not np.any(f.values):
-        raise TrivialSource("right-hand side is identically zero")
-    uh = solve_linear_full(SpectralField(f.spec, spectral.forward_folded(f)), project)  # the phase is +1 at 0
-    return spectral.inverse_folded(f.spec, uh.coeffs)
+        raise TrivialField("right-hand side is identically zero")
+    uh = solve_linear_full(f.spec, spectral.forward_folded(f), project)  # the phase is +1 at 0
+    return spectral.inverse_folded(f.spec, uh)
 
 
 def sequence_majorant(df_l1: float, df_l2: float, d: int) -> float:

@@ -8,10 +8,12 @@ realized as the rectangle-rule quadrature (dx)^d (2 pi)^(-d/2) * DFT with a
 per-axis phase (-1)^k that accounts for the box starting at -L. Fields are
 real, so coeff(-k) = conj(coeff(k)) and only the half spectrum of
 `scipy.fft.rfftn` is stored: every k on the first d - 1 axes and
-k = 0 .. n/2 on the last. Spectral quadratures carry the dual weight
-(dp)^d = (pi/L)^d and the Hermitian weight w_k, which counts a stored mode
-together with its conjugate partner: 1 on the self-conjugate planes k = 0
-and k = n/2 of the last axis, 2 elsewhere. Parseval then reads
+k = 0 .. n/2 on the last. A spectrum is that complex array, of the grid's
+`half_shape`: functions take it after its grid and return it bare. Spectral
+quadratures carry the dual weight (dp)^d = (pi/L)^d and the Hermitian weight
+w_k, which counts a stored mode together with its conjugate partner: 1 on the
+self-conjugate planes k = 0 and k = n/2 of the last axis, 2 elsewhere.
+Parseval then reads
 
     ||f||_{L2}^2 = (dp)^d * sum_k w_k |coeff(k)|^2.
 
@@ -40,7 +42,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import fft
 
-from .grid import GridSpec, RealField, SpectralField, check_same_grid
+from .grid import GridSpec, RealField, check_same_grid
 
 SHELL = 0.1  # relative thickness of the outer shell of the box
 BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,480 modes) takes one
@@ -170,16 +172,16 @@ def inverse_folded(spec: GridSpec, coeffs: np.ndarray) -> RealField:
     return RealField(spec, _c2r(scaled, spec.shape, _workers(spec)).reshape(-1))
 
 
-def forward_transform(f: RealField) -> SpectralField:
-    """Quadrature approximation of the continuum unitary Fourier transform."""
+def forward_transform(f: RealField) -> np.ndarray:
+    """Half spectrum of f: quadrature approximation of the continuum unitary Fourier transform."""
     coeffs = forward_folded(f)
     coeffs *= half_lattice(f.spec).phase
-    return SpectralField(f.spec, coeffs)
+    return coeffs
 
 
-def inverse_transform(F: SpectralField) -> RealField:
+def inverse_transform(spec: GridSpec, coeffs: np.ndarray) -> RealField:
     """Exact inverse of forward_transform; real by construction."""
-    return inverse_folded(F.spec, F.coeffs * half_lattice(F.spec).phase)
+    return inverse_folded(spec, coeffs * half_lattice(spec).phase)
 
 
 def convolve(k: RealField, g: RealField) -> RealField:
@@ -189,9 +191,8 @@ def convolve(k: RealField, g: RealField) -> RealField:
     as the inverse transform of (2 pi)^(d/2) * khat * ghat.
     """
     check_same_grid(k, g)
-    kh, gh = forward_transform(k).coeffs, forward_transform(g).coeffs
-    prod = (2.0 * np.pi) ** (k.spec.d / 2.0) * kh * gh
-    return inverse_transform(SpectralField(k.spec, prod))
+    prod = (2.0 * np.pi) ** (k.spec.d / 2.0) * forward_transform(k) * forward_transform(g)
+    return inverse_transform(k.spec, prod)
 
 
 def norm_l1(f: RealField) -> float:
@@ -214,16 +215,16 @@ def _weighted_abs2(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weighted_norm(F: SpectralField, weight: np.ndarray) -> float:
+def _weighted_norm(spec: GridSpec, coeffs: np.ndarray, weight: np.ndarray) -> float:
     """sqrt((dp)^d sum w |c|^2): each block's terms are summed, and the block sums added in block order."""
-    w = np.broadcast_to(weight, F.coeffs.shape)  # a view: the Hermitian row is not copied to every row
-    sums = _map_blocks(F.spec, lambda b, c, wb: np.sum(_weighted_abs2(c, wb)), F.coeffs, w)
-    return float(np.sqrt(F.spec.freq_spacing() ** F.spec.d * sum(sums)))
+    w = np.broadcast_to(weight, coeffs.shape)  # a view: the Hermitian row is not copied to every row
+    sums = _map_blocks(spec, lambda b, c, wb: np.sum(_weighted_abs2(c, wb)), coeffs, w)
+    return float(np.sqrt(spec.freq_spacing() ** spec.d * sum(sums)))
 
 
-def norm_l2_spectral(F: SpectralField) -> float:
+def norm_l2_spectral(spec: GridSpec, coeffs: np.ndarray) -> float:
     """L2 norm via Parseval on the dual lattice."""
-    return _weighted_norm(F, half_lattice(F.spec).hermitian)
+    return _weighted_norm(spec, coeffs, half_lattice(spec).hermitian)
 
 
 def norm_h4(f: RealField) -> float:
@@ -232,11 +233,11 @@ def norm_h4(f: RealField) -> float:
     The bi-Laplacian part is evaluated spectrally through the |p|^8 weight, on the
     folded spectrum: the phase drops out of |coeff|^2.
     """
-    return norm_h4_spectral(SpectralField(f.spec, forward_folded(f)))
+    return norm_h4_spectral(f.spec, forward_folded(f))
 
 
-def norm_h4_spectral(F: SpectralField) -> float:
-    return _weighted_norm(F, half_lattice(F.spec).h4_weight)
+def norm_h4_spectral(spec: GridSpec, coeffs: np.ndarray) -> float:
+    return _weighted_norm(spec, coeffs, half_lattice(spec).h4_weight)
 
 
 def outer_shell_mass_fraction(f: RealField) -> float:

@@ -26,7 +26,7 @@ from nfs.fixedpoint import (
     sample_ball_spectrum,
     solve_fixed_point,
 )
-from nfs.grid import GridSpec, RealField, SpectralField, zeros_like
+from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
                         NonPositiveInput, OutsideBall, TrivialField)
@@ -76,7 +76,10 @@ def _continuity(**changes):
     [
         (lambda: _problem_spec(grid=GridSpec(2, 16, 2 * np.pi)), GridMismatch, "differs from problem grid"),
         (lambda: _problem_spec(rho=1.5), ConfigError, r"^run\.rho must lie in \(0, 1\], got 1.5$"),
-        (lambda: _problem_spec(epsilon=-1.0), ConfigError, r"^run\.epsilon must be nonnegative, got -1.0$"),
+        (lambda: _problem_spec(epsilon=-1.0), ConfigError, r"^run\.epsilon must be finite and nonnegative, got -1.0$"),
+        (lambda: _problem_spec(epsilon=np.inf), ConfigError, r"^run\.epsilon must be finite and nonnegative, got inf$"),
+        (lambda: _problem_spec(tol_fp=np.nan), ConfigError, r"^run\.tol_fp must be positive, got nan$"),
+        (lambda: _problem_spec(max_iter=0), ConfigError, r"^run\.max_iter must be >= 1, got 0$"),
         (lambda: _problem_spec(epsilon=None), ConfigError, r"^run\.epsilon must be a number here, .* got None$"),
         (lambda: _contraction(0, 1), ConfigError, r"^run\.trials must be >= 1, got 0$"),
         (lambda: _contraction(3, -1), ConfigError, r"^run\.seed must be nonnegative, got -1$"),
@@ -85,8 +88,8 @@ def _continuity(**changes):
         (lambda: _continuity(epsilon=0.25), AssumptionError, "shared epsilon"),
         (lambda: _continuity(), AssumptionError, "bounds snapshot"),
     ],
-    ids=["kernel-grid", "rho", "epsilon", "epsilon-auto", "no-trials", "negative-seed", "trivial-source",
-         "asymmetric-interval", "unshared-epsilon", "no-snapshot"],
+    ids=["kernel-grid", "rho", "epsilon", "epsilon-inf", "tol-nan", "no-iterations", "epsilon-auto", "no-trials",
+         "negative-seed", "trivial-source", "asymmetric-interval", "unshared-epsilon", "no-snapshot"],
 )
 def test_bad_arguments_raise_package_errors(build, error, match):
     with pytest.raises(error, match=match):
@@ -116,8 +119,8 @@ class TestApplyTg:
         gu = RealField(ps.grid, ps.g.g(u0.values + v.values))
         conv = spectral.convolve(ps.kernel, gu)
         rhs = RealField(ps.grid, ps.epsilon * conv.values)
-        sol = solve_linear_full(spectral.forward_transform(rhs), project=True)
-        want = spectral.inverse_transform(sol)
+        sol = solve_linear_full(ps.grid, spectral.forward_transform(rhs), project=True)
+        want = spectral.inverse_transform(ps.grid, sol)
         assert np.max(np.abs(out.values - want.values)) < 1e-13
 
     def test_certified_self_map(self, standard_scenario):
@@ -221,6 +224,23 @@ class TestSolveFixedPoint:
         solve_fixed_point(ps)
         assert sum(size >= np.prod(ps.grid.half_shape) for size in sizes) == 1
 
+    def test_full_size_finiteness_scans(self, standard_scenario, monkeypatch):
+        # one per real field built: in a solve u0, the zero start, each step's composition and next iterate
+        # (the last one's after the loop), the last residual's composition and u; in a pair the 2 iterates,
+        # the 2 compositions and their difference, none on the draw thread
+        ps, u0, sizes, isfinite = standard_scenario.ps, standard_scenario.u0, [], np.isfinite  # u0 built uncounted
+        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a)) or isfinite(a, *args, **kw))
+
+        def full_size() -> int:
+            count = sum(size >= np.prod(ps.grid.half_shape) for size in sizes)
+            sizes.clear()
+            return count
+
+        k = len(solve_fixed_point(ps).trace.step_h4)
+        assert (k, full_size()) == (6, 2 * k + 4)
+        measure_contraction(ps, trials=4, seed=3, u0=u0)
+        assert full_size() == 5 * 4
+
     def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
 
@@ -273,9 +293,8 @@ class TestStepNorms:
         vh[(0,) * d] = conv[(0,) * d] = 0.0  # as a solve's output and _checked_conv's are
         p2 = spectral.p2(grid)
         res = conv - (p2 + p2**2) * vh
-        want = (spectral.norm_l2_spectral(SpectralField(grid, res)),
-                spectral.norm_h4_spectral(SpectralField(grid, vh_next - vh)),
-                spectral.norm_h4_spectral(SpectralField(grid, vh_next)))
+        want = (spectral.norm_l2_spectral(grid, res), spectral.norm_h4_spectral(grid, vh_next - vh),
+                spectral.norm_h4_spectral(grid, vh_next))
         both = fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy())
         res_only = fixedpoint._step_norms(grid, vh.copy(), conv.copy())
         step_only = fixedpoint._step_norms(grid, vh.copy(), None, vh_next.copy())
@@ -291,7 +310,7 @@ class TestStepNorms:
             rng = np.random.default_rng(seed)
             vh, vh_next = (rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
                            for _ in range(2))
-            if norm_h4_spectral(SpectralField(grid, vh_next)) != fixedpoint._step_norms(grid, vh, None, vh_next)[2]:
+            if norm_h4_spectral(grid, vh_next) != fixedpoint._step_norms(grid, vh, None, vh_next)[2]:
                 differ.append(seed)
         assert differ == []
 
@@ -354,8 +373,9 @@ class TestSampleBall:
         gs = GridSpec(3, 8, 1.0)
         vh = sample_ball_spectrum(gs, 0.7, np.random.default_rng(3))
         v = sample_ball(gs, 0.7, np.random.default_rng(3))
-        assert np.array_equal(spectral.inverse_folded(gs, vh.coeffs).values, v.values)
-        assert 0.0 < spectral.norm_h4_spectral(vh) <= 0.7 * (1 + 1e-12)
+        assert vh.shape == gs.half_shape
+        assert np.array_equal(spectral.inverse_folded(gs, vh).values, v.values)
+        assert 0.0 < spectral.norm_h4_spectral(gs, vh) <= 0.7 * (1 + 1e-12)
 
     def test_one_normal_per_degree_of_freedom(self):
         """A draw asks the generator for n^d normals, damped by a table whose |p|^2 is p2's. Its self-conjugate
@@ -376,7 +396,7 @@ class TestSampleBall:
                 return out
 
         rng = Counting(np.random.default_rng(8))
-        c = sample_ball_spectrum(gs, 1.0, rng).coeffs
+        c = sample_ball_spectrum(gs, 1.0, rng)
         assert rng.normals == gs.size
         damping = np.sqrt(0.5) / (1.0 + spectral.p2(gs) ** 2) * spectral.half_lattice(gs).phase  # from p2 bitwise
         assert np.array_equal(fixedpoint._ball_tables(gs)[0].reshape(gs.half_shape), damping)
@@ -394,7 +414,7 @@ class TestSampleBall:
         classes, inv_w2 = _mode_classes(gs), ((1.0 + spectral.p2(gs) ** 2) / 0.5) ** 2
         rng, reads = np.random.default_rng(17), np.empty((draws, 3, 2))
         for i in range(draws):
-            c = sample_ball_spectrum(gs, 1.0, rng).coeffs
+            c = sample_ball_spectrum(gs, 1.0, rng)
             reads[i] = [[np.mean(np.square(p[mask]) * inv_w2[mask]) for p in (c.real, c.imag)] for mask in classes]
         reads /= reads[:, :1, :].sum(axis=2, keepdims=True) / 4.0  # generic Re + Im reads 4 in every draw
         mean, err = reads.mean(axis=0), reads.std(axis=0) / np.sqrt(draws)
@@ -487,7 +507,7 @@ class TestMeasureContraction:
         def outside(grid, rho, rng):
             draws.append(1)
             vh = sample_ball_spectrum(grid, rho, rng)
-            return SpectralField(grid, vh.coeffs * (2.0 * rho / norm_h4_spectral(vh))) if len(draws) == 6 else vh
+            return vh * (2.0 * rho / norm_h4_spectral(grid, vh)) if len(draws) == 6 else vh
 
         monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", outside)
         made, error = self._run(standard_scenario.ps, standard_scenario.u0, monkeypatch)
@@ -605,16 +625,16 @@ class TestThreadedPasses:
         ps, u0 = large_problem.ps, large_problem.u0
         grid, rng = ps.grid, np.random.default_rng(11)
         v = sample_ball(grid, ps.rho, rng)
-        vh, vh_next = (sample_ball_spectrum(grid, ps.rho, rng).coeffs for _ in range(2))
+        vh, vh_next = (sample_ball_spectrum(grid, ps.rho, rng) for _ in range(2))
         outputs = []
         for cpus in (1, 2):
             submitted = _submits(monkeypatch, cpus)
             conv = fixedpoint._checked_conv(ps, u0, v, norm_h4(v))
             outputs.append([spectral.forward_folded(v), spectral.inverse_folded(grid, vh).values,
                             compose(ps.g, u0, v, ps.interval).values, conv,
-                            solve_linear_full(SpectralField(grid, conv), project=True).coeffs,
+                            solve_linear_full(grid, conv, project=True),
                             fixedpoint._step_norms(grid, vh.copy(), conv.copy(), vh_next.copy()),
-                            spectral.norm_h4_spectral(SpectralField(grid, vh)), solve_linear(ps.source).values])
+                            spectral.norm_h4_spectral(grid, vh), solve_linear(ps.source).values])
             assert len(submitted) == (14 if cpus == 2 else 0)  # one pool share per pass
         for one, two in zip(*outputs):
             assert np.array_equal(one, two)

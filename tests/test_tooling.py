@@ -1,5 +1,5 @@
-"""The test session and the benchmark's traced runs, each run as its own command line, and a scan
-that keeps every nd-FFT of the package in `spectral`, where it is counted."""
+"""The test session, the benchmark's own tests and its traced runs, each run as its own command line,
+and a scan that keeps every nd-FFT of the package in `spectral`, where it is counted."""
 
 import ast
 import glob
@@ -48,6 +48,13 @@ def test_traced_benchmark_run_is_correct(workload):
     assert run.returncode == 0, run.stderr
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, run.stderr
+
+
+def test_benchmark_own_tests_pass():
+    """perfbench's checks of its metrics and gates, which the session's testpaths leave out."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"]
+    run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 ND_TRANSFORMS = {"fftn", "ifftn", "rfftn", "irfftn", "hfftn", "ihfftn", "fft2", "ifft2", "rfft2", "irfft2",
