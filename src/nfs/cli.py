@@ -17,10 +17,10 @@ import numpy as np
 
 from . import builders, spectral
 from .bounds import minimize_phi, sphere_measure
-from .config import RunConfig, echo_config, parse_config
+from .config import RunConfig, echo_config, parse_config, show_float
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
-from .grid import GridSpec, RealField, memory_budget_mb, read_field, write_field
+from .grid import GridSpec, RealField, atomic_write, memory_budget_mb, read_field, write_field
 from .linear import SEQUENCE_SLACK, sequence_experiment, solve_linear
 from .nonlinearity import IntervalI, Nonlinearity, c2_norm
 from .pipeline import assemble_problem
@@ -36,31 +36,20 @@ BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
 FIELDS = 18
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _violated(lhs: str, measured: float, name: str, bound: float, slack: float) -> int:
     """Print a failed inequality with its numbers as one stderr line; returns exit code 3."""
-    rhs = f"{name}*(1+slack) = {_fmt(bound * (1.0 + slack))} (slack {slack})"
-    print(f"{lhs} {_fmt(measured)} > {rhs}", file=sys.stderr)
+    rhs = f"{name}*(1+slack) = {show_float(bound * (1.0 + slack))} (slack {slack})"
+    print(f"{lhs} {show_float(measured)} > {rhs}", file=sys.stderr)
     return 3
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
-            ",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row)
+            ",".join(show_float(x) if isinstance(x, float) else str(x) for x in row)
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _build_grid(cfg: RunConfig) -> GridSpec:
@@ -116,17 +105,15 @@ def _assemble(cfg: RunConfig, g2: Nonlinearity | None = None):
 def _report(out: str, name: str, cfg: RunConfig, lines: list[str]) -> None:
     """Write the echoed configuration and `lines` to out/name atomically; print the lines."""
     text = "\n".join(lines)
-    _write_text(
-        os.path.join(out, name), f"# resolved configuration\n{echo_config(cfg)}\n\n{text}\n"
-    )
+    atomic_write(os.path.join(out, name), f"# resolved configuration\n{echo_config(cfg)}\n\n{text}\n")
     print(text)
 
 
 def cmd_bounds(cfg: RunConfig, out: str) -> int:
     ap = _assemble(cfg)
-    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
-    lines.append(f"interval.upper = {_fmt(ap.interval.upper)}")
-    lines.append(f"epsilon_resolved = {_fmt(ap.ps.epsilon)}")
+    lines = [f"{k} = {show_float(float(v))}" for k, v in dataclasses.asdict(ap.snapshot).items()]
+    lines.append(f"interval.upper = {show_float(ap.ps.interval.upper)}")
+    lines.append(f"epsilon_resolved = {show_float(ap.ps.epsilon)}")
     _report(out, "bounds.txt", cfg, lines)
     return 0
 
@@ -137,7 +124,7 @@ def cmd_solve_linear(cfg: RunConfig, out: str) -> int:
     u0 = solve_linear(source, cfg.project_mean)
     write_field(os.path.join(out, "u0.nfs1"), u0)
     norms = builders.field_norms(u0)
-    _report(out, "solve_linear.txt", cfg, [f"u0.{k} = {_fmt(v)}" for k, v in norms.items()])
+    _report(out, "solve_linear.txt", cfg, [f"u0.{k} = {show_float(v)}" for k, v in norms.items()])
     return 0
 
 
@@ -148,15 +135,15 @@ def cmd_solve(cfg: RunConfig, out: str) -> int:
     tr = report.trace
     rows = [[i, *r] for i, r in enumerate(zip(tr.iterate_h4, tr.step_h4, tr.ratio, tr.residual))]
     _write_csv(os.path.join(out, "trace.csv"), ["iter", "u_h4", "step_h4", "ratio", "residual"], rows)
-    lines = [f"{k} = {_fmt(float(v))}" for k, v in dataclasses.asdict(ps.bounds).items()]
+    lines = [f"{k} = {show_float(float(v))}" for k, v in dataclasses.asdict(ps.bounds).items()]
     lines += [
-        f"epsilon = {_fmt(ps.epsilon)}",
+        f"epsilon = {show_float(ps.epsilon)}",
         f"guarantee = {'certified' if ps.certified else 'uncertified'}",
         "converged = True",  # non-convergence raises
         f"iterations = {len(tr.step_h4)}",
-        f"u_p_h4 = {_fmt(tr.iterate_h4[-1])}",
-        f"u_h4 = {_fmt(spectral.norm_h4(report.u))}",
-        f"final_residual = {_fmt(tr.residual[-1])}",
+        f"u_p_h4 = {show_float(tr.iterate_h4[-1])}",
+        f"u_h4 = {show_float(spectral.norm_h4(report.u))}",
+        f"final_residual = {show_float(tr.residual[-1])}",
     ]
     _report(out, "solve.txt", cfg, lines)
     return 0
@@ -168,9 +155,9 @@ def cmd_contraction(cfg: RunConfig, out: str) -> int:
     rows = [[i, d, r] for i, (d, r) in enumerate(zip(stats.distances, stats.ratios))]
     _write_csv(os.path.join(out, "contraction.csv"), ["trial", "v_dist", "ratio"], rows)
     lines = [
-        f"max_ratio = {_fmt(stats.max_ratio)}",
-        f"mean_ratio = {_fmt(stats.mean_ratio)}",
-        f"eps_sigma_bound = {_fmt(stats.bound)}",  # every CLI problem is assembled with a snapshot
+        f"max_ratio = {show_float(stats.max_ratio)}",
+        f"mean_ratio = {show_float(stats.mean_ratio)}",
+        f"eps_sigma_bound = {show_float(stats.bound)}",  # every CLI problem is assembled with a snapshot
         f"certified = {ap.ps.certified}",
     ]
     _report(out, "contraction.txt", cfg, lines)
@@ -187,9 +174,9 @@ def cmd_continuity(cfg: RunConfig, out: str) -> int:
     ps1 = _assemble(cfg, g2=g2).ps
     rep = continuity_experiment(ps1, dataclasses.replace(ps1, g=g2), slack=cfg.slack)
     lines = [
-        f"measured_h4 = {_fmt(rep.measured)}",
-        f"bound = {_fmt(rep.bound)}",
-        f"g_distance_c2 = {_fmt(rep.g_distance)}",
+        f"measured_h4 = {show_float(rep.measured)}",
+        f"bound = {show_float(rep.bound)}",
+        f"g_distance_c2 = {show_float(rep.g_distance)}",
         f"verdict = {rep.verdict}",
     ]
     _report(out, "continuity.txt", cfg, lines)
@@ -294,7 +281,7 @@ def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}")
         ok &= passed
     print("\n".join(lines))
-    _write_text(os.path.join(out, "selfcheck.txt"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out, "selfcheck.txt"), "\n".join(lines) + "\n")
     return 0 if ok else 3
 
 

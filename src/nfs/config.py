@@ -112,22 +112,22 @@ def _parse_pair(key: str, value: str) -> tuple[float, float]:
     return parts
 
 
-_show_float = "{:.17g}".format
+show_float = "{:.17g}".format
 
 
 def _show_floats(values: tuple[float, ...]) -> str:
-    return ",".join(map(_show_float, values))
+    return ",".join(map(show_float, values))
 
 
 # (parse, show) for each value type
 _INT = (_parse_int, str)
-_FLOAT = (_parse_float, _show_float)
+_FLOAT = (_parse_float, show_float)
 _TEXT = (lambda key, value: value, str)
 _FLOATS = (_parse_floats, _show_floats)
 _PAIR = (_parse_pair, _show_floats)
 _EPSILON = (
     lambda key, value: None if value == "auto" else _parse_float(key, value),
-    lambda x: "auto" if x is None else _show_float(x),
+    lambda x: "auto" if x is None else show_float(x),
 )
 
 

@@ -26,36 +26,34 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
 
 from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
-from .config import check_value
-from .errors import (AssumptionError, ConfigError, DegeneratePair, Diverged, GridMismatch, NotConverged,
-                     OutsideBall, TrivialField)
+from .config import RunConfig, check_value
+from .errors import AssumptionError, ConfigError, DegeneratePair, Diverged, NotConverged, OutsideBall, TrivialField
 from .grid import GridSpec, RealField, check_same_grid, zeros_like
 from .linear import solve_linear, solve_linear_full
-from .nonlinearity import IntervalI, Nonlinearity, c2_distance, compose
+from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_distance, compose
 
 BALL_SLACK = 1e-12
-DEFAULT_DISCRETE_SLACK = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
-    """One fully assembled problem instance (diffusion constant fixed to 1)."""
+    """One fully assembled problem instance (diffusion constant fixed to 1). Its grid is the kernel's, and its
+    certified interval is the snapshot's: neither is stated twice. Frozen, so neither the multiplier nor the
+    interval can fall behind the fields they are built from; `dataclasses.replace` builds a changed copy."""
 
-    grid: GridSpec
     kernel: RealField
     source: RealField
     g: Nonlinearity
     epsilon: float
     rho: float = 1.0
     bounds: Optional[BoundsSnapshot] = None
-    interval: Optional[IntervalI] = None
     tol_fp: float = 1e-10
     max_iter: int = 200
     project_mean: bool = False
@@ -64,8 +62,6 @@ class ProblemSpec:
 
     def __post_init__(self):
         check_same_grid(self.kernel, self.source)
-        if self.kernel.spec != self.grid:
-            raise GridMismatch(f"kernel grid {self.kernel.spec} differs from problem grid {self.grid}")
         check_value("run.rho", self.rho)
         if self.epsilon is None:  # the config's "auto"
             raise ConfigError("run.epsilon must be a number here, as only assemble_problem resolves auto; got None")
@@ -77,12 +73,24 @@ class ProblemSpec:
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
         # the heap grows past them and the loop's peak RSS rises
-        self.multiplier = coupling * kh * spectral.half_lattice(self.grid).scale
+        object.__setattr__(self, "multiplier", coupling * kh * spectral.half_lattice(self.grid).scale)
         self.multiplier[(0,) * self.grid.d] = 0.0  # dropped, as the mean-projected solve and the residual drop it
 
     @property
+    def grid(self) -> GridSpec:
+        return self.kernel.spec
+
+    @cached_property
+    def interval(self) -> Optional[IntervalI]:
+        """[-a, a] with a = c_e (||u0||_H4 + 1) from the snapshot; None (no check) without one."""
+        b = self.bounds
+        return None if b is None else build_interval(b.u0_h4, b.embedding_constant)
+
+    @property
     def certified(self) -> bool:
-        return self.bounds is not None and self.epsilon <= self.bounds.epsilon_max
+        """A snapshot for this rho whose eps_max covers epsilon; every such problem checks its interval."""
+        b = self.bounds
+        return b is not None and b.rho == self.rho and self.epsilon <= b.epsilon_max
 
 
 @dataclass
@@ -328,9 +336,7 @@ def measure_contraction(
     )
 
 
-def continuity_experiment(
-    ps1: ProblemSpec, ps2: ProblemSpec, slack: float = DEFAULT_DISCRETE_SLACK
-) -> ContinuityReport:
+def continuity_experiment(ps1: ProblemSpec, ps2: ProblemSpec, slack: float = RunConfig.slack) -> ContinuityReport:
     """Solve with two nonlinearities and compare against the sensitivity bound.
 
     The shared snapshot must be conservative for both nonlinearities (its
@@ -346,8 +352,7 @@ def continuity_experiment(
     u1 = solve_fixed_point(ps1).u  # the rest of the first report is freed before the second solve
     u2 = solve_fixed_point(ps2).u
     measured = spectral.norm_h4(RealField(ps1.grid, u1.values - u2.values))
-    interval = ps1.interval
-    g_dist = c2_distance(ps1.g, ps2.g, interval)
+    g_dist = c2_distance(ps1.g, ps2.g, ps1.interval)
     bound = continuity_bound(ps1.epsilon, snapshot, g_dist)
     return ContinuityReport(
         measured=measured,

@@ -107,13 +107,19 @@ def zeros_like(spec: GridSpec) -> RealField:
     return RealField(spec, np.zeros(spec.size))
 
 
-def write_field(path: str, f: RealField) -> None:
-    """Dump a field in the NFS1 format (atomic: temp file + rename)."""
+def atomic_write(path: str, *chunks) -> None:
+    """Write the chunks to path through a temp file and a rename: a str as UTF-8, a bytes-like object as it is."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, f.spec.d, f.spec.n, f.spec.half_width))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))  # a view on little-endian hosts
+        for chunk in chunks:
+            fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     os.replace(tmp, path)
+
+
+def write_field(path: str, f: RealField) -> None:
+    """Dump a field in the NFS1 format, atomically."""
+    header = HEADER.pack(MAGIC, f.spec.d, f.spec.n, f.spec.half_width)
+    atomic_write(path, header, np.ascontiguousarray(f.values, dtype="<f8"))  # a view on little-endian hosts
 
 
 def read_field(path: str) -> RealField:

@@ -12,6 +12,7 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polysub
 
 from . import spectral
 from .errors import AssumptionError, IntervalExceeded, NonconformingG
@@ -51,13 +52,6 @@ def _horner(asc: np.ndarray, z) -> np.ndarray:
         if c:  # an exact zero is skipped: only the sign of a zero result can differ
             out += c
     return out
-
-
-def _coeff_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = np.zeros(max(a.size, b.size))
-    diff[: a.size] += a
-    diff[: b.size] -= b
-    return diff
 
 
 class Nonlinearity:
@@ -140,5 +134,5 @@ def compose(g: Nonlinearity, u0: RealField, v: RealField, interval: IntervalI | 
 
 def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:
     """C2 norm of g1 - g2 over the interval; 0 for equal polynomials."""
-    diff = _coeff_diff(g1.coeffs, g2.coeffs)
+    diff = polysub(g1.coeffs, g2.coeffs)
     return c2_norm(Nonlinearity(diff), interval).c2_norm if np.any(diff) else 0.0

@@ -15,18 +15,20 @@ from typing import Optional
 
 from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
-from .errors import NonPositiveInput
+from .errors import GridMismatch, NonPositiveInput
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
 from .linear import solve_linear, solve_linear_full
-from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_norm
+from .nonlinearity import Nonlinearity, build_interval, c2_norm
 
 
 @dataclass
 class AssembledProblem:
     ps: ProblemSpec
-    interval: IntervalI
-    snapshot: BoundsSnapshot
+
+    @property
+    def snapshot(self) -> BoundsSnapshot:
+        return self.ps.bounds
 
     @cached_property
     def u0(self) -> RealField:
@@ -51,6 +53,8 @@ def assemble_problem(
     When `g_other` is given (continuity experiments), the snapshot's C2 bound
     covers both nonlinearities, so the certified range is valid for either.
     """
+    if kernel.spec != grid:  # the problem's grid is its kernel's
+        raise GridMismatch(f"kernel grid {kernel.spec} differs from problem grid {grid}")
     u0h = solve_linear_full(grid, spectral.forward_folded(source), project_mean)  # folded: same norms
     u0_h4 = spectral.norm_h4_spectral(grid, u0h)
     if not math.isfinite(u0_h4):
@@ -64,17 +68,6 @@ def assemble_problem(
     k_l2 = spectral.norm_l2(kernel)
     snapshot = make_snapshot(grid.d, rho, m, u0_h4, k_l1, k_l2, c_e)
     eps = snapshot.epsilon_max if epsilon is None else epsilon
-    ps = ProblemSpec(
-        grid=grid,
-        kernel=kernel,
-        source=source,
-        g=g,
-        epsilon=eps,
-        rho=rho,
-        bounds=snapshot,
-        interval=interval,
-        tol_fp=tol_fp,
-        max_iter=max_iter,
-        project_mean=project_mean,
-    )
-    return AssembledProblem(ps=ps, interval=interval, snapshot=snapshot)
+    ps = ProblemSpec(kernel, source, g, eps, rho=rho, bounds=snapshot, tol_fp=tol_fp, max_iter=max_iter,
+                     project_mean=project_mean)
+    return AssembledProblem(ps)

@@ -30,7 +30,8 @@ from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
 from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
                         NonPositiveInput, OutsideBall, TrivialField)
-from nfs.nonlinearity import IntervalI, Nonlinearity, compose
+from nfs.bounds import epsilon_max
+from nfs.nonlinearity import IntervalI, Nonlinearity, build_interval, compose
 from nfs.spectral import norm_h4, norm_h4_spectral, norm_l2
 
 
@@ -43,7 +44,7 @@ def small_problem(epsilon: float, g=None) -> ProblemSpec:
     )
     if g is None:
         g = Nonlinearity(coeffs=[1.0])
-    return ProblemSpec(grid=gs, kernel=kernel, source=source, g=g, epsilon=epsilon)
+    return ProblemSpec(kernel=kernel, source=source, g=g, epsilon=epsilon)
 
 
 def _mode_classes(gs: GridSpec) -> tuple[np.ndarray, ...]:
@@ -57,8 +58,14 @@ def _mode_classes(gs: GridSpec) -> tuple[np.ndarray, ...]:
 
 def _problem_spec(**changes) -> ProblemSpec:
     ps = small_problem(0.5)
-    args = dict(grid=ps.grid, kernel=ps.kernel, source=ps.source, g=ps.g, epsilon=ps.epsilon)
+    args = dict(kernel=ps.kernel, source=ps.source, g=ps.g, epsilon=ps.epsilon)
     return ProblemSpec(**{**args, **changes})
+
+
+def _with_interval(ps: ProblemSpec, upper: float) -> ProblemSpec:
+    """ps with its snapshot's embedding constant set so that its interval is [-upper, upper], up to rounding."""
+    b = ps.bounds
+    return dataclasses.replace(ps, bounds=dataclasses.replace(b, embedding_constant=upper / (b.u0_h4 + 1.0)))
 
 
 def _contraction(trials, seed):
@@ -74,7 +81,6 @@ def _continuity(**changes):
 @pytest.mark.parametrize(
     "build, error, match",
     [
-        (lambda: _problem_spec(grid=GridSpec(2, 16, 2 * np.pi)), GridMismatch, "differs from problem grid"),
         (lambda: _problem_spec(rho=1.5), ConfigError, r"^run\.rho must lie in \(0, 1\], got 1.5$"),
         (lambda: _problem_spec(epsilon=-1.0), ConfigError, r"^run\.epsilon must be finite and nonnegative, got -1.0$"),
         (lambda: _problem_spec(epsilon=np.inf), ConfigError, r"^run\.epsilon must be finite and nonnegative, got inf$"),
@@ -88,7 +94,7 @@ def _continuity(**changes):
         (lambda: _continuity(epsilon=0.25), AssumptionError, "shared epsilon"),
         (lambda: _continuity(), AssumptionError, "bounds snapshot"),
     ],
-    ids=["kernel-grid", "rho", "epsilon", "epsilon-inf", "tol-nan", "no-iterations", "epsilon-auto", "no-trials",
+    ids=["rho", "epsilon", "epsilon-inf", "tol-nan", "no-iterations", "epsilon-auto", "no-trials",
          "negative-seed", "trivial-source", "asymmetric-interval", "unshared-epsilon", "no-snapshot"],
 )
 def test_bad_arguments_raise_package_errors(build, error, match):
@@ -315,6 +321,46 @@ class TestStepNorms:
         assert differ == []
 
 
+class TestOneOwnerPerFact:
+    """The grid is the kernel's, the interval the snapshot's, and the snapshot certifies only its own rho."""
+
+    def test_init_fields(self):
+        init = [f.name for f in dataclasses.fields(ProblemSpec) if f.init]
+        assert init == ["kernel", "source", "g", "epsilon", "rho", "bounds", "tol_fp", "max_iter", "project_mean"]
+        assert [f.name for f in dataclasses.fields(pipeline.AssembledProblem)] == ["ps"]
+
+    def test_derived_values(self, standard_scenario):
+        ap = standard_scenario
+        ps, b = ap.ps, ap.ps.bounds
+        assert ap.snapshot is b and ps.grid is ps.kernel.spec
+        assert ps.interval == build_interval(b.u0_h4, b.embedding_constant)
+        assert ps.certified and ps.interval is not None
+        assert pipeline.AssembledProblem(dataclasses.replace(ps, bounds=None)).snapshot is None  # read off its ps
+
+    def test_interval_follows_the_snapshot(self, standard_scenario):
+        ps = standard_scenario.ps
+        wider = dataclasses.replace(ps.bounds, embedding_constant=2.0 * ps.bounds.embedding_constant)
+        assert dataclasses.replace(ps, bounds=wider).interval == build_interval(wider.u0_h4, wider.embedding_constant)
+        bare = dataclasses.replace(ps, bounds=None)
+        assert bare.interval is None and not bare.certified
+
+    def test_snapshot_for_another_rho_certifies_nothing(self, standard_scenario):
+        ps, b = standard_scenario.ps, standard_scenario.ps.bounds
+        assert ps.epsilon > epsilon_max(0.5, b.big_m, b.u0_h4, b.k_l1, b.k_l2, b.d)  # uncertified at rho = 0.5
+        assert dataclasses.replace(ps, rho=0.5).certified is False
+
+    def test_fields_are_not_reassigned(self, standard_scenario):
+        """The multiplier and the interval are built from the fields, so a field changes only by a new spec."""
+        ps = dataclasses.replace(standard_scenario.ps)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ps.epsilon = 0.0
+
+    @pytest.mark.parametrize("name", ["grid", "interval"])
+    def test_derived_values_are_not_settable(self, standard_scenario, name):
+        with pytest.raises(TypeError):
+            dataclasses.replace(standard_scenario.ps, **{name: getattr(standard_scenario.ps, name)})
+
+
 class TestAssembleProblem:
     def test_three_transforms(self, standard_scenario):
         # rfftn of f and of K; ||u0||_H4 is read off u0^, not re-transformed, and the real u0 is solved
@@ -327,6 +373,11 @@ class TestAssembleProblem:
         assert ap.u0 is u0 and spectral.nd_fft_count() - ffts == 4
         assert np.array_equal(u0.values, solve_linear(ps.source, ps.project_mean).values)
         assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
+
+    def test_kernel_off_the_grid_is_refused(self, standard_scenario):
+        ps = standard_scenario.ps
+        with pytest.raises(GridMismatch, match="differs from problem grid"):
+            pipeline.assemble_problem(GridSpec(5, 8, 2.0 * np.pi), ps.kernel, ps.source, ps.g)
 
     def test_zero_source_is_a_trivial_field(self, standard_scenario):
         # its spectrum solves to zero, and ProblemSpec refuses it: an AssumptionError, exit code 3
@@ -445,7 +496,8 @@ class TestMeasureContraction:
         assert s1.ratios == s2.ratios
 
     def test_interval_check_kept(self, standard_scenario):
-        ps = dataclasses.replace(standard_scenario.ps, interval=IntervalI(-1e-3, 1e-3))
+        ps = _with_interval(standard_scenario.ps, 1e-3)
+        assert ps.certified and ps.interval.upper == pytest.approx(1e-3, rel=1e-15)
         with pytest.raises(IntervalExceeded):
             measure_contraction(ps, trials=2, seed=1, u0=standard_scenario.u0)
 
@@ -484,7 +536,7 @@ class TestMeasureContraction:
         # the first composition after pair 1 whose range exceeds every earlier one
         k = next(i for i in range(4, len(ranges)) if ranges[i] > max(ranges[:i]) + 1e-6)
         t = 0.5 * (max(ranges[:k]) + ranges[k])
-        made, error = self._run(dataclasses.replace(ps, interval=IntervalI(-t, t)), u0, monkeypatch)
+        made, error = self._run(_with_interval(ps, t), u0, monkeypatch)
         assert (made, error) == (serial[: k + 1], IntervalExceeded)
 
     def test_failed_draw_fails_when_its_pair_is_taken(self, standard_scenario, monkeypatch):

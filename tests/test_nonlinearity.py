@@ -78,7 +78,7 @@ class TestC2Norm:
 
 class TestDmMembership:
     def test_default_m_is_computed_norm(self, standard_scenario):
-        rep = c2_norm(standard_scenario.ps.g, standard_scenario.interval)
+        rep = c2_norm(standard_scenario.ps.g, standard_scenario.ps.interval)
         assert standard_scenario.snapshot.big_m == rep.c2_norm
 
 
