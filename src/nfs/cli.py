@@ -27,12 +27,9 @@ from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
 BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.65 held (kernel, source, u0,
-# the multiplier, the H4 weight, the int8 phase, |p|^2 per row, a one-block |p|^2 tile, the ball tables), at most 4.9
-# on the pair's thread (its spectra, a scaled copy, an inverse transform), 5 on the draw thread (the next pair's
-# spectra, their difference, two one-block norm temporaries: at d5n8 a block is the spectrum) and a pair spectrum
-# (1.25) its arena keeps freed: 17.8, rounded up.
-# Threaded passes (2^20 points up) keep scratch per thread, not n^d: +10 MB for contraction at d5n16, within the model.
+# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.65 held, 4.9 on the pair's
+# thread, 5 on the draw thread and a pair spectrum (1.25) its arena keeps freed, 17.8 rounded up (the README itemizes
+# them). Threaded passes keep scratch per thread, a constant, not a multiple of n^d.
 FIELDS = 18
 
 
@@ -52,9 +49,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _need_mb(size: int) -> float:
+    """The memory model's estimate for a command on `size` grid points."""
+    return BASE_MB + FIELDS * size * 8 / 2**20
+
+
 def _build_grid(cfg: RunConfig) -> GridSpec:
     gs = GridSpec(cfg.dimension, cfg.n, cfg.half_width)
-    need_mb, budget_mb = BASE_MB + FIELDS * gs.size * 8 / 2**20, memory_budget_mb()
+    need_mb, budget_mb = _need_mb(gs.size), memory_budget_mb()
     if need_mb > budget_mb:  # checked before any field is allocated
         raise ConfigError(f"a command on {gs.size} grid points needs about {need_mb:.0f} MB, over the "
                           f"memory budget of {budget_mb} MB (set NFS_MEMORY_BUDGET_MB to raise it)")
@@ -199,15 +201,8 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
     # built one at a time, so the working set does not grow with sequence.count
     perts = (RealField(gs, h.values / k) for k in range(1, cfg.sequence_count + 1))
     rep = sequence_experiment(source, perts, cfg.project_mean)
-    rows = [
-        [k + 1, rep.df_l1[k], rep.df_l2[k], rep.du_h4[k], rep.majorant[k], rep.ok[k]]
-        for k in range(len(rep.ok))
-    ]
-    _write_csv(
-        os.path.join(out, "sequences.csv"),
-        ["n", "df_l1", "df_l2", "du_h4", "majorant", "ok"],
-        rows,
-    )
+    rows = [[k, *r] for k, r in enumerate(zip(rep.df_l1, rep.df_l2, rep.du_h4, rep.majorant, rep.ok), start=1)]
+    _write_csv(os.path.join(out, "sequences.csv"), ["n", "df_l1", "df_l2", "du_h4", "majorant", "ok"], rows)
     print(f"verdict = {rep.verdict}")
     if rep.verdict:
         return 0
@@ -216,73 +211,47 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
     return _violated(lhs, rep.du_h4[k], "majorant", rep.majorant[k], SEQUENCE_SLACK)
 
 
-def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
-    checks: list[tuple[str, bool]] = []
+def _cos_x1_halved() -> bool:
+    """[-lap + lap^2] u = cos(x1) on the 2 pi box has u = cos(x1) / 2."""
+    gs = GridSpec(5, 8, np.pi)
+    f = RealField(gs, np.broadcast_to(np.cos(gs.axis_coords()).reshape((8,) + (1,) * 4), gs.shape).reshape(-1))
+    return np.max(np.abs(solve_linear(f).values - f.values / 2.0)) < 1e-12
 
-    gs = GridSpec(2, 8, np.pi)
-    one = RealField(gs, np.ones(gs.size))
-    F = spectral.forward_transform(one)
-    expected = (2 * np.pi) ** 2 / (2 * np.pi)
-    checks.append(
-        ("grid-spectral: constant transform", abs(F[0, 0] - expected) < 1e-12)
-    )
-    rt = spectral.inverse_transform(gs, F)
-    checks.append(
-        ("grid-spectral: round trip", np.max(np.abs(rt.values - 1.0)) < 1e-12)
-    )
 
-    pr = minimize_phi(4.0, 5)
-    checks.append(
-        ("bounds: radial minimizer plug-in", abs(pr.r_star - 1) < 1e-14 and abs(pr.phi_min - 5) < 1e-13)
-    )
-    checks.append(
-        ("bounds: sphere measure d=2", abs(sphere_measure(2) - 2 * np.pi) < 1e-14)
-    )
+def _eps0_one_iteration() -> bool:
+    gs = GridSpec(5, 8, 4 * np.pi)
+    kernel, source = builders.build_gaussian_kernel(gs, 1.0, 1.0), builders.build_gaussian_diff_source(gs)
+    rep = solve_fixed_point(assemble_problem(gs, kernel, source, Nonlinearity(coeffs=[1.0]), epsilon=0.0).ps)
+    return len(rep.trace.step_h4) == 1 and spectral.norm_h4(rep.u_p) == 0.0
 
-    rep = c2_norm(Nonlinearity(coeffs=[1.0]), IntervalI(-1.0, 1.0))
-    checks.append(("nonlinearity: z^2 C2 norm", abs(rep.c2_norm - 5.0) < 1e-14))
 
-    gs5 = GridSpec(5, 8, np.pi)
-    x1 = gs5.axis_coords()
-    cosx = np.cos(x1)
-    vals = np.broadcast_to(
-        cosx.reshape((8,) + (1,) * 4), gs5.shape
-    ).reshape(-1)
-    f5 = RealField(gs5, np.array(vals))
-    u5 = solve_linear(f5)
-    checks.append(
-        (
-            "linear-poisson: cos(x1)/2",
-            np.max(np.abs(u5.values - f5.values / 2.0)) < 1e-12,
-        )
-    )
-
-    g = Nonlinearity(coeffs=[1.0])
-    kern = builders.build_gaussian_kernel(GridSpec(5, 8, 4 * np.pi), 1.0, 1.0)
-    src = builders.build_gaussian_diff_source(GridSpec(5, 8, 4 * np.pi))
-    ap = assemble_problem(GridSpec(5, 8, 4 * np.pi), kern, src, g, epsilon=0.0)
-    rep0 = solve_fixed_point(ap.ps)
-    checks.append(
-        (
-            "fixed-point: eps=0 one iteration",
-            len(rep0.trace.step_h4) == 1 and spectral.norm_h4(rep0.u_p) == 0.0,
-        )
-    )
-
+def _rho_gate_refuses() -> bool:
     try:
         parse_config("run.rho = 1.5")
-        checks.append(("cli-harness: rho gate", False))
     except ConfigError:
-        checks.append(("cli-harness: rho gate", True))
+        return True
+    return False
 
-    ok = True
-    lines = []
-    for name, passed in checks:
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok &= passed
+
+def cmd_selfcheck(cfg: RunConfig, out: str) -> int:
+    gs, pr = GridSpec(2, 8, np.pi), minimize_phi(4.0, 5)
+    F = spectral.forward_transform(RealField(gs, np.ones(gs.size)))
+    checks = [  # (name, predicate), run in order
+        ("grid-spectral: constant transform", lambda: abs(F[0, 0] - (2 * np.pi) ** 2 / (2 * np.pi)) < 1e-12),
+        ("grid-spectral: round trip", lambda: np.max(np.abs(spectral.inverse_transform(gs, F).values - 1.0)) < 1e-12),
+        ("bounds: radial minimizer plug-in", lambda: abs(pr.r_star - 1) < 1e-14 and abs(pr.phi_min - 5) < 1e-13),
+        ("bounds: sphere measure d=2", lambda: abs(sphere_measure(2) - 2 * np.pi) < 1e-14),
+        ("nonlinearity: z^2 C2 norm",
+         lambda: abs(c2_norm(Nonlinearity(coeffs=[1.0]), IntervalI(-1.0, 1.0)).c2_norm - 5.0) < 1e-14),
+        ("linear-poisson: cos(x1)/2", _cos_x1_halved),
+        ("fixed-point: eps=0 one iteration", _eps0_one_iteration),
+        ("cli-harness: rho gate", _rho_gate_refuses),
+    ]
+    passed = [bool(check()) for _, check in checks]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for (name, _), ok in zip(checks, passed)]
     print("\n".join(lines))
     atomic_write(os.path.join(out, "selfcheck.txt"), "\n".join(lines) + "\n")
-    return 0 if ok else 3
+    return 0 if all(passed) else 3
 
 
 HANDLERS = {
@@ -323,8 +292,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"command {args.command!r} needs dimension >= 5, got {cfg.dimension}"
             )
         os.makedirs(cfg.output_dir, exist_ok=True)
-        with np.errstate(all="ignore"):  # a non-finite number is refused by name, not warned about
-            return HANDLERS[args.command](cfg, cfg.output_dir)
+        try:
+            with np.errstate(all="ignore"):  # a non-finite number is refused by name, not warned about
+                return HANDLERS[args.command](cfg, cfg.output_dir)
+        except MemoryError:  # numpy's _ArrayMemoryError and pocketfft's std::bad_alloc both arrive as one
+            size = cfg.n**cfg.dimension  # exit 2, as the budget is configuration
+            raise ConfigError(f"out of memory on {size} grid points, where the memory model (BASE_MB + FIELDS * 8 n^d) "
+                              f"estimates {_need_mb(size):.0f} MB and NFS_MEMORY_BUDGET_MB is {memory_budget_mb()}; "
+                              "set it to the memory this process may use") from None
     except (ConfigError, OSError) as exc:  # OSError: unreadable config or field file, unusable --out
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Exception hierarchy for the nfs package.
 
 Exit-code classes used by the CLI:
-  2 -- configuration problems (ConfigError)
+  2 -- configuration problems (ConfigError), and running out of memory: the budget is configuration
   3 -- violated model assumptions (AssumptionError subclasses)
   4 -- iteration failures (IterationError subclasses)
 """

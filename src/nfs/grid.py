@@ -1,4 +1,4 @@
-"""Periodic-box grid, real sampled fields, and the NFS1 dump format.
+"""Periodic-box grid, real sampled fields, the NFS1 dump format, and the count of structural operations.
 
 The box is [-L, L)^d with n samples per axis (n a power of two); the dual
 lattice carries frequencies p_k = (pi/L) k with k in [-n/2, n/2)^d. A spectrum
@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,25 @@ MAGIC = b"NFS1"
 HEADER = struct.Struct("<4sIId")  # magic, d, n, half_width
 
 DEFAULT_MEMORY_BUDGET_MB = 4096
+_ops: Counter = Counter()  # (thread identifier, operation) -> count, here below every module that counts one
+_ops_lock = threading.Lock()
+
+
+def _count(op: str) -> None:  # one more operation of kind `op` on this thread; see `op_counts`
+    with _ops_lock:  # a bare += can lose a count between two threads
+        _ops[threading.get_ident(), op] += 1
+
+
+def op_counts(thread: int | None = None) -> Counter:
+    """This process's structural operations by kind, on every thread, or on the one whose `threading.get_ident()` is
+    `thread` and any ended thread that had its identifier: "nd_fft" (an rfftn or irfftn), "blocked_pass" (a
+    `spectral._map_blocks` call, on its caller), "finite_scan" (a real field built), "compose", "linear_solve"."""
+    counts: Counter = Counter()
+    with _ops_lock:
+        for (t, op), n in _ops.items():
+            if thread in (None, t):
+                counts[op] += n
+    return counts
 
 
 def memory_budget_mb() -> int:
@@ -91,6 +112,7 @@ class RealField:
             raise NFSError(
                 f"field length {self.values.size} != grid size {self.spec.size}"
             )
+        _count("finite_scan")
         if not np.all(np.isfinite(self.values)):
             raise NFSError("field contains non-finite values")
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import spectral
 from .bounds import sphere_measure
 from .errors import NonDecayingSource, TrivialField
-from .grid import GridSpec, RealField
+from .grid import GridSpec, RealField, _count
 
 
 ZERO_MODE_TOL = 1e-10
@@ -42,6 +42,7 @@ def solve_linear_full(spec: GridSpec, fh: np.ndarray, project: bool = False) -> 
     Unless `project`, a zero mode above ZERO_MODE_TOL * ||f||_L2 is refused. An all-zero
     spectrum solves to zero (the Picard step's at eps = 0); `solve_linear` refuses a zero source.
     """
+    _count("linear_solve")
     zero = (0,) * spec.d
     if not project:
         zero_mass = abs(fh[zero])

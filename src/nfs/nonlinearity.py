@@ -16,7 +16,7 @@ from numpy.polynomial.polynomial import polysub
 
 from . import spectral
 from .errors import AssumptionError, IntervalExceeded, NonconformingG
-from .grid import RealField, check_same_grid
+from .grid import RealField, _count, check_same_grid
 
 INTERVAL_SLACK = 1e-9
 
@@ -113,6 +113,7 @@ def compose(g: Nonlinearity, u0: RealField, v: RealField, interval: IntervalI | 
     spectra fill.
     """
     check_same_grid(u0, v)
+    _count("compose")
 
     def block(b: slice, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple:
         lo_hi = np.add(x, y, out=out).min(), out.max()

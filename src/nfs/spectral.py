@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import fft
 
-from .grid import GridSpec, RealField, check_same_grid
+from .grid import GridSpec, RealField, _count, check_same_grid
 
 SHELL = 0.1  # relative thickness of the outer shell of the box
 BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,480 modes) takes one
@@ -53,7 +53,6 @@ BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,4
 # thread, so the results do not depend on the number of workers.
 THREADED_POINTS = 1 << 20
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_nd_ffts, _nd_ffts_lock = 0, threading.Lock()
 _POOL = ThreadPoolExecutor(max(1, CPUS - 1), thread_name_prefix="nfs-blocks")  # its threads start on first use
 
 
@@ -104,8 +103,10 @@ def half_lattice(spec: GridSpec) -> HalfLattice:
 def _map_blocks(spec: GridSpec, fn, *arrays: np.ndarray | None) -> list:
     """[fn(b, *each array's block b)] over blocks of rows: each array is viewed as (n^(d-1) rows, its last axis), and
     a block is BLOCK // row length rows, 2^16 values of a field or len(tile) rows of a half spectrum. With
-    w = _workers(spec) > 1, thread t takes blocks t, t + w, ... (the caller's share first, in its numpy error
-    state). fn calls no public nfs function, so that a profiler wrapping those sees one thread."""
+    w = _workers(spec) > 1, share t is blocks t, t + w, ...: the caller runs share 0 in its numpy error state, then
+    each share no pool thread has started (one whose thread could not start among them). fn calls no public nfs
+    function, so that a profiler wrapping those sees one thread."""
+    _count("blocked_pass")
     rows = spec.size // spec.n
     views = [a if a is None else a.reshape(rows, -1) for a in arrays]
     step = max(1, BLOCK // next(a.shape[1] for a in views if a is not None))
@@ -116,13 +117,24 @@ def _map_blocks(spec: GridSpec, fn, *arrays: np.ndarray | None) -> list:
 
     if w == 1:  # inline, at no more cost than a plain loop
         return share(0)
-    futures = [_POOL.submit(contextvars.copy_context().run, share, t) for t in range(1, w)]
-    try:
-        shares = [share(0)]
-    finally:
-        wait(futures)  # no block outlives the call
-    shares += [f.result() for f in futures]
-    return [shares[k % w][k // w] for k in range(len(blocks))]
+    shares = [Future() for _ in range(w)]
+    unstarted = dict(enumerate(shares))  # each share's future, until a thread claims it: dict.pop is atomic
+
+    def run(t: int) -> None:  # once per share, on whichever thread claims it first
+        if (future := unstarted.pop(t, None)) is not None:
+            try:
+                future.set_result(share(t))
+            except BaseException as exc:  # raised by result() below, once every share has ended
+                future.set_exception(exc)
+
+    for t in range(1, w):
+        with suppress(RuntimeError):  # the pool cannot start a thread: the share, maybe left queued, runs below
+            _POOL.submit(contextvars.copy_context().run, run, t)
+    for t in range(w):
+        run(t)
+    wait(shares)  # no block outlives the call
+    views.clear()  # a share whose thread failed to start stays queued: it holds no array and no result
+    return [shares[k % w].result()[k // w] for k in range(len(blocks))]
 
 
 def _workers(spec: GridSpec) -> int:
@@ -130,26 +142,15 @@ def _workers(spec: GridSpec) -> int:
     return CPUS if spec.size >= THREADED_POINTS else 1
 
 
-def nd_fft_count() -> int:
-    """nd-FFTs this process has made so far, on every thread."""
-    return _nd_ffts
-
-
-def _tally() -> None:
-    global _nd_ffts
-    with _nd_ffts_lock:  # a bare += can lose a count between two threads
-        _nd_ffts += 1
-
-
 # The only nd-FFTs of the package, so that the count misses none. Both go through the
 # attributes of scipy.fft, so that a profiler wrapping them there sees every call.
 def _r2c(x: np.ndarray, workers: int) -> np.ndarray:
-    _tally()
+    _count("nd_fft")
     return fft.rfftn(x, workers=workers)
 
 
 def _c2r(x: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
-    _tally()
+    _count("nd_fft")
     return fft.irfftn(x, s=shape, overwrite_x=True, workers=workers)
 
 

@@ -7,6 +7,7 @@ import io
 import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 from operator import attrgetter
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nfs import builders, cli
+from nfs import builders, cli, spectral
 from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
@@ -403,6 +404,26 @@ class TestCli:
         assert trace[0] == "iter,u_h4,step_h4,ratio,residual"
         assert len(trace) > 2
 
+    @pytest.mark.parametrize("queued", [False, True], ids=["refused", "queued-then-refused"])
+    def test_solve_bytes_when_no_pool_thread_starts(self, queued, cfg_path, tmp_path, monkeypatch):
+        """With the blocked passes threaded on d5n8 and every submit to the pool failing, as when no thread can start
+        (its share left in the pool's queue, or not), each share runs once and the artifacts are one thread's."""
+        assert run_cli(["solve", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
+        refused, submit = [], spectral._POOL.submit
+
+        def failing_submit(*args):
+            refused.append(submit(*args) if queued else args)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(spectral, "CPUS", 2)
+        monkeypatch.setattr(spectral, "THREADED_POINTS", 1)
+        monkeypatch.setattr(spectral._POOL, "submit", failing_submit)
+        threads = threading.active_count()
+        assert run_cli(["solve", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
+        assert refused and (queued or threading.active_count() == threads)
+        for name in ("u.nfs1", "trace.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_contraction_and_determinism(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert run_cli(["contraction", "--config", cfg_path, "--out", out1]) == 0
@@ -565,6 +586,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "memory budget" in err and err.count("\n") == 1
         assert peak < 2**20  # refused before any field is allocated
+
+    def test_running_out_of_memory(self, cfg_path, tmp_path, capsys, monkeypatch):
+        def exhausted(ps):
+            raise MemoryError  # as numpy's _ArrayMemoryError or pocketfft's std::bad_alloc arrives
+
+        monkeypatch.setenv("NFS_MEMORY_BUDGET_MB", "300")
+        monkeypatch.setattr(cli, "solve_fixed_point", exhausted)
+        assert run_cli(["solve", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"on {8**5} grid points" in err and "estimates 68 MB" in err and "NFS_MEMORY_BUDGET_MB is 300;" in err
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_memory_budget_not_an_integer(self, value, tmp_path, capsys, monkeypatch):

@@ -10,12 +10,13 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import nfs
-from nfs import builders, fixedpoint, linear, pipeline, spectral
+from nfs import builders, fixedpoint, grid, pipeline, spectral
 from nfs.fixedpoint import (
     ProblemSpec,
     apply_tg,
@@ -184,69 +185,6 @@ class TestSolveFixedPoint:
         with pytest.raises(GridMismatch, match="grids differ"):
             solve_fixed_point(ps, v_start=v_start)
 
-    def test_transform_and_linear_solve_counts(self, standard_scenario, monkeypatch):
-        # 2 nd-FFTs per step, 2 for u0 and 1 for the last residual; 1 linear solve per step and 1 for u0
-        # (inside linear.solve_linear); 1 checked composition per step and 1 for the last residual
-        calls = {"solve": 0, "compose": 0}
-
-        def counted(fn, key):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for module in (fixedpoint, linear):
-            monkeypatch.setattr(module, "solve_linear_full", counted(solve_linear_full, "solve"))
-        monkeypatch.setattr(fixedpoint, "compose", counted(fixedpoint.compose, "compose"))
-        ffts = spectral.nd_fft_count()
-        k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
-        assert (spectral.nd_fft_count() - ffts, calls["solve"]) == (2 * k + 3, k + 1)
-        assert calls["compose"] == k + 1
-
-    def test_blocked_pass_count(self, standard_scenario, monkeypatch):
-        # per step: the composition, the multiply, the divide, the step's norms and the next iterate's
-        # irfftn input (the last one's after the loop); u0's solve 4, the zero start's norm 1, and the last
-        # residual's composition, multiply and norms 3
-        passes, blocked = [], spectral._map_blocks
-        monkeypatch.setattr(spectral, "_map_blocks", lambda *a, **kw: passes.append(1) or blocked(*a, **kw))
-        k = len(solve_fixed_point(standard_scenario.ps).trace.step_h4)
-        assert len(passes) == 5 * k + 8
-
-    def test_contraction_pair_pass_count(self, standard_scenario, monkeypatch):
-        # per pair on this thread: the 2 irfftn inputs, the 2 compositions, the multiply, the divide and the
-        # ratio's norm; on the draw thread: the 2 draws' norms, their distance and the 2 ball checks
-        u0, threads, blocked = standard_scenario.u0, [], spectral._map_blocks  # u0 solved outside the count
-        monkeypatch.setattr(spectral, "_map_blocks",
-                            lambda *a, **kw: threads.append(threading.current_thread()) or blocked(*a, **kw))
-        measure_contraction(standard_scenario.ps, trials=4, seed=3, u0=u0)
-        here = sum(t is threading.current_thread() for t in threads)
-        assert (here, len(threads) - here) == (7 * 4, 5 * 4)
-
-    def test_one_full_size_any_per_solve(self, standard_scenario, monkeypatch):
-        # the u0 source check in solve_linear; the loop's solves scan nothing
-        ps, sizes, any_ = standard_scenario.ps, [], np.any
-        monkeypatch.setattr(np, "any", lambda a, *args, **kw: sizes.append(np.size(a)) or any_(a, *args, **kw))
-        solve_fixed_point(ps)
-        assert sum(size >= np.prod(ps.grid.half_shape) for size in sizes) == 1
-
-    def test_full_size_finiteness_scans(self, standard_scenario, monkeypatch):
-        # one per real field built: in a solve u0, the zero start, each step's composition and next iterate
-        # (the last one's after the loop), the last residual's composition and u; in a pair the 2 iterates,
-        # the 2 compositions and their difference, none on the draw thread
-        ps, u0, sizes, isfinite = standard_scenario.ps, standard_scenario.u0, [], np.isfinite  # u0 built uncounted
-        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: sizes.append(np.size(a)) or isfinite(a, *args, **kw))
-
-        def full_size() -> int:
-            count = sum(size >= np.prod(ps.grid.half_shape) for size in sizes)
-            sizes.clear()
-            return count
-
-        k = len(solve_fixed_point(ps).trace.step_h4)
-        assert (k, full_size()) == (6, 2 * k + 4)
-        measure_contraction(ps, trials=4, seed=3, u0=u0)
-        assert full_size() == 5 * 4
-
     def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
 
@@ -286,6 +224,58 @@ class TestSolveFixedPoint:
         small = solve_fixed_point(dataclasses.replace(ps, epsilon=ps.epsilon / 4))
         assert norm_h4(small.u_p) < norm_h4(big.u_p)
         assert norm_h4(small.u_p) == pytest.approx(norm_h4(big.u_p) / 4, rel=0.05)
+
+
+# One row per kind of structural operation: (per solve of k steps, per contraction pair on its thread, per pair on
+# the draw thread). The library counts each kind (`grid.op_counts`) but numpy's own full-size np.any, counted here.
+COUNTS = {
+    # per step an irfftn and an rfftn; u0's solve 2 and the last residual 1; a pair's 2 irfftn and 1 rfftn
+    "nd_fft": (lambda k: 2 * k + 3, 3, 0),
+    # per step the composition, the multiply, the divide, the step's norms and the next iterate's irfftn input; u0's
+    # solve 4, the zero start's norm 1, the last residual 3. A pair: its 2 irfftn inputs, 2 compositions, the
+    # multiply, the divide and the ratio's norm; its draws: 2 norms, their distance and 2 ball checks
+    "blocked_pass": (lambda k: 5 * k + 8, 7, 5),
+    # one per real field built: u0, the zero start, each step's composition and next iterate, the last residual's
+    # composition and u; a pair's 2 iterates, 2 compositions and their difference
+    "finite_scan": (lambda k: 2 * k + 4, 5, 0),
+    "compose": (lambda k: k + 1, 2, 0),  # each step's and the last residual's, all checked
+    "linear_solve": (lambda k: k + 1, 1, 0),  # each step's and u0's
+    "full_size_any": (lambda k: 1, 0, 0),  # u0's source check; the loop scans nothing
+}
+
+
+def test_structural_counts(standard_scenario, monkeypatch):
+    """Each row of COUNTS, over a standard-scenario solve (k = 6) and 4 contraction pairs on each thread; and the
+    set-up: 2 nd-FFTs (rfftn of f and of K), then 2 more on the lazy u0's first read only."""
+    ps, u0, main = standard_scenario.ps, standard_scenario.u0, threading.get_ident()  # u0 solved outside the counts
+    full, any_, anys = np.prod(ps.grid.half_shape), np.any, Counter()  # full-size np.any calls by thread
+
+    def counted_any(a, *args, **kw):
+        anys[threading.get_ident()] += int(np.size(a) >= full)
+        return any_(a, *args, **kw)
+
+    def counts(thread: int | None) -> Counter:
+        return grid.op_counts(thread) + Counter(full_size_any=anys[thread] if thread else sum(anys.values()))
+
+    def made(run) -> tuple:
+        """run()'s result, and each count's change over it on this thread and on the others."""
+        here, total = counts(main), counts(None)
+        out = run()
+        here, total = counts(main) - here, counts(None) - total
+        return out, here, total - here
+
+    monkeypatch.setattr(np, "any", counted_any)
+    rep, solve, elsewhere = made(lambda: solve_fixed_point(ps))
+    k = len(rep.trace.step_h4)
+    assert (k, solve, elsewhere) == (6, Counter({op: f(k) for op, (f, _, _) in COUNTS.items()}), Counter())
+    _, pair, draw = made(lambda: measure_contraction(ps, trials=4, seed=3, u0=u0))
+    assert pair == Counter({op: 4 * here for op, (_, here, _) in COUNTS.items()})
+    assert draw == Counter({op: 4 * there for op, (_, _, there) in COUNTS.items()})
+    ap, setup, _ = made(lambda: pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g))
+    u0_read, first, _ = made(lambda: ap.u0)
+    assert (setup["nd_fft"], first["nd_fft"], made(lambda: ap.u0)[1]["nd_fft"]) == (2, 2, 0)
+    assert np.array_equal(u0_read.values, solve_linear(ps.source, ps.project_mean).values)
+    assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(u0_read), rel=1e-14)
 
 
 class TestStepNorms:
@@ -362,18 +352,6 @@ class TestOneOwnerPerFact:
 
 
 class TestAssembleProblem:
-    def test_three_transforms(self, standard_scenario):
-        # rfftn of f and of K; ||u0||_H4 is read off u0^, not re-transformed, and the real u0 is solved
-        # (rfftn, irfftn) on its first read only
-        ps, ffts = standard_scenario.ps, spectral.nd_fft_count()
-        ap = pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g)
-        assert spectral.nd_fft_count() - ffts == 2
-        u0 = ap.u0
-        assert spectral.nd_fft_count() - ffts == 4
-        assert ap.u0 is u0 and spectral.nd_fft_count() - ffts == 4
-        assert np.array_equal(u0.values, solve_linear(ps.source, ps.project_mean).values)
-        assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
-
     def test_kernel_off_the_grid_is_refused(self, standard_scenario):
         ps = standard_scenario.ps
         with pytest.raises(GridMismatch, match="differs from problem grid"):

@@ -4,8 +4,7 @@ The reference repeats the arithmetic of a plain complex-FFT implementation
 with `numpy.fft`: each step transforms g(u0 + v), convolves with the kernel
 in real space, solves the linear problem through a forward and an inverse
 transform, and takes the residual through full forward transforms. The
-contraction sampler's draws, distances and ratios are pinned the same way, and
-two tests count the nd-FFTs a solve and a contraction pair make.
+contraction sampler's draws, distances and ratios are pinned the same way.
 """
 
 import dataclasses
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfs import builders, pipeline, spectral
+from nfs import builders, pipeline
 from nfs.fixedpoint import measure_contraction, sample_ball, solve_fixed_point
 from nfs.grid import GridSpec
 from nfs.nonlinearity import Nonlinearity
@@ -212,27 +211,3 @@ def test_sample_ball_matches_reference_draw(standard_scenario):
         got = sample_ball(ps.grid, ps.rho, rng).values
         want = reference_draw(fs, ps.rho, rng_ref)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def count_nd_ffts():
-    """The number of nd-FFTs made from now on, as `spectral` counts them, on every thread."""
-    start = spectral.nd_fft_count()
-    return lambda: spectral.nd_fft_count() - start
-
-
-def test_fft_count_per_step(standard_scenario):
-    """2 nd-FFTs per Picard step, 2 for the u0 solve and 1 for the last residual."""
-    made = count_nd_ffts()
-    rep = solve_fixed_point(standard_scenario.ps)
-    steps = len(rep.trace.step_h4)
-    assert steps >= 3
-    assert made() == 2 * steps + 2 + 1
-
-
-def test_fft_count_per_contraction_pair(standard_scenario):
-    """3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference.
-    The draws, made ahead on a second thread, make none."""
-    made = count_nd_ffts()
-    stats = measure_contraction(standard_scenario.ps, trials=10, seed=3, u0=standard_scenario.u0)
-    assert len(stats.ratios) == 10
-    assert made() == 3 * 10

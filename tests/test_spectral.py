@@ -12,7 +12,7 @@ from scipy.special import gamma
 
 from nfs import builders, spectral
 from nfs.errors import GridMismatch, MassLeakage, NFSError
-from nfs.grid import GridSpec, RealField, read_field, write_field
+from nfs.grid import GridSpec, RealField, op_counts, read_field, write_field
 from nfs.spectral import (
     convolve,
     forward_transform,
@@ -222,7 +222,7 @@ def test_transform_count_loses_none_between_threads():
             inverse_transform(f.spec, forward_transform(f))
 
     threads = [threading.Thread(target=transforms) for _ in range(8)]
-    start, interval = spectral.nd_fft_count(), sys.getswitchinterval()
+    start, interval = op_counts()["nd_fft"], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for t in threads:
@@ -232,7 +232,7 @@ def test_transform_count_loses_none_between_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert spectral.nd_fft_count() - start == 8 * 200 * 2
+    assert op_counts()["nd_fft"] - start == 8 * 200 * 2
 
 
 def times_symbol(spec: GridSpec, F: np.ndarray, symbol) -> np.ndarray:
