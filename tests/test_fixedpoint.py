@@ -10,7 +10,6 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -185,6 +184,33 @@ class TestSolveFixedPoint:
         with pytest.raises(GridMismatch, match="grids differ"):
             solve_fixed_point(ps, v_start=v_start)
 
+    # The counts' formulas are conftest's COUNTS, measured once by its structural_counts fixture.
+    def test_transform_and_linear_solve_counts(self, structural_counts):
+        got, want = structural_counts.per_solve("nd_fft", "linear_solve", "compose")
+        assert got == want
+        got, want = structural_counts.per_pairs("nd_fft", "linear_solve", "compose")
+        assert got == want
+
+    def test_blocked_pass_count(self, structural_counts):
+        got, want = structural_counts.per_solve("blocked_pass")
+        assert got == want
+
+    def test_contraction_pair_pass_count(self, structural_counts):
+        got, want = structural_counts.per_pairs("blocked_pass")
+        assert got == want
+
+    def test_one_full_size_any_per_solve(self, structural_counts):
+        got, want = structural_counts.per_solve("full_size_any")
+        assert got == want
+        got, want = structural_counts.per_pairs("full_size_any")
+        assert got == want
+
+    def test_full_size_finiteness_scans(self, structural_counts):
+        got, want = structural_counts.per_solve("finite_scan")
+        assert got == want
+        got, want = structural_counts.per_pairs("finite_scan")
+        assert got == want
+
     def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
 
@@ -224,58 +250,6 @@ class TestSolveFixedPoint:
         small = solve_fixed_point(dataclasses.replace(ps, epsilon=ps.epsilon / 4))
         assert norm_h4(small.u_p) < norm_h4(big.u_p)
         assert norm_h4(small.u_p) == pytest.approx(norm_h4(big.u_p) / 4, rel=0.05)
-
-
-# One row per kind of structural operation: (per solve of k steps, per contraction pair on its thread, per pair on
-# the draw thread). The library counts each kind (`grid.op_counts`) but numpy's own full-size np.any, counted here.
-COUNTS = {
-    # per step an irfftn and an rfftn; u0's solve 2 and the last residual 1; a pair's 2 irfftn and 1 rfftn
-    "nd_fft": (lambda k: 2 * k + 3, 3, 0),
-    # per step the composition, the multiply, the divide, the step's norms and the next iterate's irfftn input; u0's
-    # solve 4, the zero start's norm 1, the last residual 3. A pair: its 2 irfftn inputs, 2 compositions, the
-    # multiply, the divide and the ratio's norm; its draws: 2 norms, their distance and 2 ball checks
-    "blocked_pass": (lambda k: 5 * k + 8, 7, 5),
-    # one per real field built: u0, the zero start, each step's composition and next iterate, the last residual's
-    # composition and u; a pair's 2 iterates, 2 compositions and their difference
-    "finite_scan": (lambda k: 2 * k + 4, 5, 0),
-    "compose": (lambda k: k + 1, 2, 0),  # each step's and the last residual's, all checked
-    "linear_solve": (lambda k: k + 1, 1, 0),  # each step's and u0's
-    "full_size_any": (lambda k: 1, 0, 0),  # u0's source check; the loop scans nothing
-}
-
-
-def test_structural_counts(standard_scenario, monkeypatch):
-    """Each row of COUNTS, over a standard-scenario solve (k = 6) and 4 contraction pairs on each thread; and the
-    set-up: 2 nd-FFTs (rfftn of f and of K), then 2 more on the lazy u0's first read only."""
-    ps, u0, main = standard_scenario.ps, standard_scenario.u0, threading.get_ident()  # u0 solved outside the counts
-    full, any_, anys = np.prod(ps.grid.half_shape), np.any, Counter()  # full-size np.any calls by thread
-
-    def counted_any(a, *args, **kw):
-        anys[threading.get_ident()] += int(np.size(a) >= full)
-        return any_(a, *args, **kw)
-
-    def counts(thread: int | None) -> Counter:
-        return grid.op_counts(thread) + Counter(full_size_any=anys[thread] if thread else sum(anys.values()))
-
-    def made(run) -> tuple:
-        """run()'s result, and each count's change over it on this thread and on the others."""
-        here, total = counts(main), counts(None)
-        out = run()
-        here, total = counts(main) - here, counts(None) - total
-        return out, here, total - here
-
-    monkeypatch.setattr(np, "any", counted_any)
-    rep, solve, elsewhere = made(lambda: solve_fixed_point(ps))
-    k = len(rep.trace.step_h4)
-    assert (k, solve, elsewhere) == (6, Counter({op: f(k) for op, (f, _, _) in COUNTS.items()}), Counter())
-    _, pair, draw = made(lambda: measure_contraction(ps, trials=4, seed=3, u0=u0))
-    assert pair == Counter({op: 4 * here for op, (_, here, _) in COUNTS.items()})
-    assert draw == Counter({op: 4 * there for op, (_, _, there) in COUNTS.items()})
-    ap, setup, _ = made(lambda: pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g))
-    u0_read, first, _ = made(lambda: ap.u0)
-    assert (setup["nd_fft"], first["nd_fft"], made(lambda: ap.u0)[1]["nd_fft"]) == (2, 2, 0)
-    assert np.array_equal(u0_read.values, solve_linear(ps.source, ps.project_mean).values)
-    assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(u0_read), rel=1e-14)
 
 
 class TestStepNorms:
@@ -352,6 +326,18 @@ class TestOneOwnerPerFact:
 
 
 class TestAssembleProblem:
+    def test_three_transforms(self, standard_scenario):
+        # rfftn of f and of K; ||u0||_H4 is read off u0^, not re-transformed, and the real u0 is solved
+        # (rfftn, irfftn) on its first read only
+        ps, ffts = standard_scenario.ps, grid.op_counts()["nd_fft"]
+        ap = pipeline.assemble_problem(ps.grid, ps.kernel, ps.source, ps.g)
+        assert grid.op_counts()["nd_fft"] - ffts == 2
+        u0 = ap.u0
+        assert grid.op_counts()["nd_fft"] - ffts == 4
+        assert ap.u0 is u0 and grid.op_counts()["nd_fft"] - ffts == 4
+        assert np.array_equal(u0.values, solve_linear(ps.source, ps.project_mean).values)
+        assert ap.snapshot.u0_h4 == pytest.approx(norm_h4(ap.u0), rel=1e-14)
+
     def test_kernel_off_the_grid_is_refused(self, standard_scenario):
         ps = standard_scenario.ps
         with pytest.raises(GridMismatch, match="differs from problem grid"):

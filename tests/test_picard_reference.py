@@ -4,7 +4,8 @@ The reference repeats the arithmetic of a plain complex-FFT implementation
 with `numpy.fft`: each step transforms g(u0 + v), convolves with the kernel
 in real space, solves the linear problem through a forward and an inverse
 transform, and takes the residual through full forward transforms. The
-contraction sampler's draws, distances and ratios are pinned the same way.
+contraction sampler's draws, distances and ratios are pinned the same way, and
+two tests count the nd-FFTs a solve and a contraction pair make.
 """
 
 import dataclasses
@@ -211,3 +212,16 @@ def test_sample_ball_matches_reference_draw(standard_scenario):
         got = sample_ball(ps.grid, ps.rho, rng).values
         want = reference_draw(fs, ps.rho, rng_ref)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fft_count_per_step(structural_counts):
+    """2 nd-FFTs per Picard step, 2 for the u0 solve and 1 for the last residual (conftest's COUNTS)."""
+    got, want = structural_counts.per_solve("nd_fft")
+    assert structural_counts.steps >= 3 and got == want
+
+
+def test_fft_count_per_contraction_pair(structural_counts):
+    """3 nd-FFTs per measured pair: one inverse per draw, one forward of the difference.
+    The draws, made ahead on a second thread, make none."""
+    got, want = structural_counts.per_pairs("nd_fft")
+    assert got == want
