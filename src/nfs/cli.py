@@ -20,17 +20,12 @@ from .bounds import minimize_phi, sphere_measure
 from .config import RunConfig, echo_config, parse_config, show_float
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
-from .grid import GridSpec, RealField, atomic_write, memory_budget_mb, read_field, write_field
+from .grid import GridSpec, RealField, atomic_write, check_budget, memory_budget_mb, need_mb, read_field, write_field
 from .linear import SEQUENCE_SLACK, sequence_experiment, solve_linear
 from .nonlinearity import IntervalI, Nonlinearity, c2_norm
 from .pipeline import assemble_problem
 
 CERTIFIED_COMMANDS = ("bounds", "solve", "contraction", "continuity", "sequences")
-BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
-# Real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction: 6.65 held, 4.9 on the pair's
-# thread, 5 on the draw thread and a pair spectrum (1.25) its arena keeps freed, 17.8 rounded up (the README itemizes
-# them). Threaded passes keep scratch per thread, a constant, not a multiple of n^d.
-FIELDS = 18
 
 
 def _violated(lhs: str, measured: float, name: str, bound: float, slack: float) -> int:
@@ -49,17 +44,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _need_mb(size: int) -> float:
-    """The memory model's estimate for a command on `size` grid points."""
-    return BASE_MB + FIELDS * size * 8 / 2**20
-
-
 def _build_grid(cfg: RunConfig) -> GridSpec:
     gs = GridSpec(cfg.dimension, cfg.n, cfg.half_width)
-    need_mb, budget_mb = _need_mb(gs.size), memory_budget_mb()
-    if need_mb > budget_mb:  # checked before any field is allocated
-        raise ConfigError(f"a command on {gs.size} grid points needs about {need_mb:.0f} MB, over the "
-                          f"memory budget of {budget_mb} MB (set NFS_MEMORY_BUDGET_MB to raise it)")
+    check_budget(gs)
     return gs
 
 
@@ -90,18 +77,8 @@ def _assemble(cfg: RunConfig, g2: Nonlinearity | None = None):
     kernel = _build_kernel(cfg, gs)
     source = _build_source(cfg, gs)
     g = Nonlinearity(coeffs=cfg.coeffs)
-    return assemble_problem(
-        gs,
-        kernel,
-        source,
-        g,
-        epsilon=cfg.epsilon,
-        rho=cfg.rho,
-        tol_fp=cfg.tol_fp,
-        max_iter=cfg.max_iter,
-        project_mean=cfg.project_mean,
-        g_other=g2,
-    )
+    return assemble_problem(gs, kernel, source, g, epsilon=cfg.epsilon, rho=cfg.rho, tol_fp=cfg.tol_fp,
+                            max_iter=cfg.max_iter, project_mean=cfg.project_mean, g_other=g2)
 
 
 def _report(out: str, name: str, cfg: RunConfig, lines: list[str]) -> None:
@@ -192,12 +169,8 @@ def cmd_sequences(cfg: RunConfig, out: str) -> int:
     gs = _build_grid(cfg)
     source = _build_source(cfg, gs)
     # perturbation family (1/n) h with h a fixed mean-free two-hump bump
-    h = builders.build_gaussian_diff_source(
-        gs,
-        centers=(0.5 * cfg.half_width / np.pi, -0.5 * cfg.half_width / np.pi),
-        widths=(1.0, 1.0),
-        amplitude=0.1 * cfg.source.amplitude,
-    )
+    centers = (0.5 * cfg.half_width / np.pi, -0.5 * cfg.half_width / np.pi)
+    h = builders.build_gaussian_diff_source(gs, centers, widths=(1.0, 1.0), amplitude=0.1 * cfg.source.amplitude)
     # built one at a time, so the working set does not grow with sequence.count
     perts = (RealField(gs, h.values / k) for k in range(1, cfg.sequence_count + 1))
     rep = sequence_experiment(source, perts, cfg.project_mean)
@@ -298,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         except MemoryError:  # numpy's _ArrayMemoryError and pocketfft's std::bad_alloc both arrive as one
             size = cfg.n**cfg.dimension  # exit 2, as the budget is configuration
             raise ConfigError(f"out of memory on {size} grid points, where the memory model (BASE_MB + FIELDS * 8 n^d) "
-                              f"estimates {_need_mb(size):.0f} MB and NFS_MEMORY_BUDGET_MB is {memory_budget_mb()}; "
+                              f"estimates {need_mb(size):.0f} MB and NFS_MEMORY_BUDGET_MB is {memory_budget_mb()}; "
                               "set it to the memory this process may use") from None
     except (ConfigError, OSError) as exc:  # OSError: unreadable config or field file, unusable --out
         print(f"config error: {exc}", file=sys.stderr)

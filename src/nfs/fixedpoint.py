@@ -35,8 +35,8 @@ from . import spectral
 from .bounds import BoundsSnapshot, continuity_bound
 from .config import RunConfig, check_value
 from .errors import AssumptionError, ConfigError, DegeneratePair, Diverged, NotConverged, OutsideBall, TrivialField
-from .grid import GridSpec, RealField, check_same_grid, zeros_like
-from .linear import solve_linear, solve_linear_full
+from .grid import GridSpec, RealField, _made, check_same_grid, zeros_like
+from .linear import _solve_linear, solve_linear_full
 from .nonlinearity import IntervalI, Nonlinearity, build_interval, c2_distance, compose
 
 BALL_SLACK = 1e-12
@@ -67,8 +67,9 @@ class ProblemSpec:
             raise ConfigError("run.epsilon must be a number here, as only assemble_problem resolves auto; got None")
         for key in ("epsilon", "tol_fp", "max_iter"):
             check_value(f"run.{key}", getattr(self, key))
-        if not np.any(self.kernel.values) or not np.any(self.source.values):
-            raise TrivialField("kernel and source must be nontrivial")
+        for name in ("kernel", "source"):  # the one all-zero test of each input field, for the CLI and API alike
+            if not np.any(getattr(self, name).values):
+                raise TrivialField(f"{name} is identically zero: kernel and source must be nontrivial")
         kh = spectral.forward_transform(self.kernel)
         coupling = self.epsilon * (2.0 * np.pi) ** (self.grid.d / 2.0)
         # not in place: the temporaries' holes are where the loop's spectra fit later; built in place,
@@ -184,7 +185,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     grid = ps.grid
     if v_start is not None:
         check_same_grid(ps.source, v_start)
-    u0 = solve_linear(ps.source, ps.project_mean)
+    u0 = _solve_linear(ps.source, ps.project_mean)
     if v_start is None:
         v, vh = zeros_like(grid), np.zeros(grid.half_shape, dtype=complex)
     else:
@@ -218,7 +219,7 @@ def solve_fixed_point(ps: ProblemSpec, v_start: Optional[RealField] = None) -> S
     v = spectral.inverse_folded(grid, vh)
     # v is kept for the report; u is built after G^, so G and u are not alive at once
     trace.residual.append(_step_norms(grid, vh, _checked_conv(ps, u0, v, v_h4))[0])
-    return SolveReport(u0=u0, u_p=v, u=RealField(grid, u0.values + v.values), trace=trace)
+    return SolveReport(u0=u0, u_p=v, u=_made(grid, u0.values + v.values), trace=trace)  # compose checked u0 + v
 
 
 def residual(u: RealField, ps: ProblemSpec) -> float:
@@ -276,23 +277,20 @@ def sample_ball_spectrum(grid: GridSpec, rho: float, rng: np.random.Generator) -
     return sym
 
 
-def sample_ball(
-    grid: GridSpec, rho: float, rng: np.random.Generator
-) -> RealField:
+def sample_ball(grid: GridSpec, rho: float, rng: np.random.Generator) -> RealField:
     """Draw a field with H4 norm uniform in (0, rho]; see sample_ball_spectrum."""
     return spectral.inverse_folded(grid, sample_ball_spectrum(grid, rho, rng))
 
 
-def measure_contraction(
-    ps: ProblemSpec, trials: int, seed: int, u0: RealField
-) -> ContractionStats:
+def measure_contraction(ps: ProblemSpec, trials: int, seed: int, u0: RealField) -> ContractionStats:
     """Sample iterate pairs in the ball and measure the Lipschitz ratio.
 
     t_g(v1) - t_g(v2) is the linear solve of eps K conv [g(u0 + v1) - g(u0 + v2)]: one rfftn, whose
     folded solve has the H4 norm of the unfolded one.
     One background thread draws the next pair, with its H4 distance and (unless degenerate) both ball checks,
-    while this thread measures the current one. The draws take the one generator in order, so the pairs are those
-    of a serial loop; an error there is raised when its pair is taken, and the thread is joined on return and raise.
+    while this thread measures the current one; if that thread cannot start, this one draws each pair as it takes
+    it. The draws take the one generator in order, so the pairs are those of a serial loop; an error there is raised
+    when its pair is taken, and the thread is joined on return and raise.
     """
     check_value("run.trials", trials)
     check_value("run.seed", seed)
@@ -312,28 +310,25 @@ def measure_contraction(
     ratios: list[float] = []
     distances: list[float] = []
     with ThreadPoolExecutor(1) as pool:  # leaving the block waits for a draw in flight
-        ahead = pool.submit(draw)
+        try:
+            take = pool.submit(draw).result
+        except RuntimeError:  # the draw thread cannot start: this one draws each pair as it takes it. No later
+            take = draw  # submit starts a thread, so the draw this submit may have queued never runs
         while len(ratios) < trials:
-            vhs, dist = ahead.result()
-            if dist < 1e-14 or len(ratios) + 1 < trials:  # no pair is drawn and then dropped
-                ahead = pool.submit(draw)
+            vhs, dist = take()
+            if take is not draw and (dist < 1e-14 or len(ratios) + 1 < trials):  # no pair is drawn and then dropped
+                take = pool.submit(draw).result
             if dist < 1e-14:
                 continue  # degenerate pair, resample
             # each spectrum is freed once its v is built, and each v once g(u0 + v) is
             g1, g2 = (compose(ps.g, u0, spectral.inverse_folded(grid, vhs.pop(0)), ps.interval) for _ in range(2))
-            diff = _folded_conv(ps, RealField(grid, g1.values - g2.values))
+            diff = _folded_conv(ps, _made(grid, g1.values - g2.values))
             del g1, g2  # freed before the solve, where the pair's work would peak
             ratios.append(spectral.norm_h4_spectral(grid, solve_linear_full(grid, diff, project=True)) / dist)
             del diff  # not kept alive through the next pair's draws
             distances.append(dist)
     bound = ps.epsilon * ps.bounds.sigma if ps.bounds is not None else None
-    return ContractionStats(
-        ratios=ratios,
-        distances=distances,
-        max_ratio=max(ratios),
-        mean_ratio=float(np.mean(ratios)),
-        bound=bound,
-    )
+    return ContractionStats(ratios, distances, max(ratios), float(np.mean(ratios)), bound)
 
 
 def continuity_experiment(ps1: ProblemSpec, ps2: ProblemSpec, slack: float = RunConfig.slack) -> ContinuityReport:
@@ -354,9 +349,4 @@ def continuity_experiment(ps1: ProblemSpec, ps2: ProblemSpec, slack: float = Run
     measured = spectral.norm_h4(RealField(ps1.grid, u1.values - u2.values))
     g_dist = c2_distance(ps1.g, ps2.g, ps1.interval)
     bound = continuity_bound(ps1.epsilon, snapshot, g_dist)
-    return ContinuityReport(
-        measured=measured,
-        bound=bound,
-        g_distance=g_dist,
-        verdict=measured <= bound * (1.0 + slack) + 1e-15,
-    )
+    return ContinuityReport(measured, bound, g_dist, verdict=measured <= bound * (1.0 + slack) + 1e-15)

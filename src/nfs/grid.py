@@ -23,6 +23,8 @@ MAGIC = b"NFS1"
 HEADER = struct.Struct("<4sIId")  # magic, d, n, half_width
 
 DEFAULT_MEMORY_BUDGET_MB = 4096
+BASE_MB = 64  # the interpreter with numpy and scipy loaded, before any field
+FIELDS = 18  # real fields (8 n^d bytes each) alive at the peak of the heaviest command, contraction (see the README)
 _ops: Counter = Counter()  # (thread identifier, operation) -> count, here below every module that counts one
 _ops_lock = threading.Lock()
 
@@ -35,7 +37,7 @@ def _count(op: str) -> None:  # one more operation of kind `op` on this thread; 
 def op_counts(thread: int | None = None) -> Counter:
     """This process's structural operations by kind, on every thread, or on the one whose `threading.get_ident()` is
     `thread` and any ended thread that had its identifier: "nd_fft" (an rfftn or irfftn), "blocked_pass" (a
-    `spectral._map_blocks` call, on its caller), "finite_scan" (a real field built), "compose", "linear_solve"."""
+    `spectral._map_blocks` call, on its caller), "finite_scan" (a `RealField(...)` built), "compose", "linear_solve"."""
     counts: Counter = Counter()
     with _ops_lock:
         for (t, op), n in _ops.items():
@@ -53,6 +55,18 @@ def memory_budget_mb() -> int:
         raise ConfigError(f"NFS_MEMORY_BUDGET_MB must be a whole number of MB, got {raw!r}") from None
 
 
+def need_mb(size: int) -> float:
+    """The memory model's estimate for a command on `size` grid points."""
+    return BASE_MB + FIELDS * size * 8 / 2**20
+
+
+def check_budget(spec: GridSpec) -> None:
+    """The memory budget's one check, on the config's grid and on a field file's header, before any allocation."""
+    if (need := need_mb(spec.size)) > (budget := memory_budget_mb()):
+        raise ConfigError(f"a command on {spec.size} grid points needs about {need:.0f} MB, over the memory "
+                          f"budget of {budget} MB (set NFS_MEMORY_BUDGET_MB to raise it)")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Discretization of the periodic box [-L, L)^d."""
@@ -63,11 +77,6 @@ class GridSpec:
 
     def __post_init__(self):
         check_grid(self.d, self.n, self.half_width)  # before size computes n**d
-        if self.size * 8 > memory_budget_mb() * 2**20:
-            raise ConfigError(
-                f"grid of {self.size} points exceeds the memory budget "
-                f"(set NFS_MEMORY_BUDGET_MB to raise it)"
-            )
 
     @property
     def spacing(self) -> float:
@@ -101,7 +110,7 @@ class GridSpec:
 
 @dataclass
 class RealField:
-    """Real-valued samples on a grid, row-major, flat storage."""
+    """Real-valued samples on a grid, row-major, flat storage; `RealField(spec, values)` checks they are finite."""
 
     spec: GridSpec
     values: np.ndarray
@@ -120,13 +129,20 @@ class RealField:
         return self.values.reshape(self.spec.shape)
 
 
+def _made(spec: GridSpec, values: np.ndarray) -> RealField:
+    """A field of spec.size float64 values made from checked data, or checked by the sweep that made them: no scan."""
+    f = object.__new__(RealField)
+    f.spec, f.values = spec, values.reshape(-1)
+    return f
+
+
 def check_same_grid(a, b):
     if a.spec != b.spec:
         raise GridMismatch(f"grids differ: {a.spec} vs {b.spec}")
 
 
 def zeros_like(spec: GridSpec) -> RealField:
-    return RealField(spec, np.zeros(spec.size))
+    return _made(spec, np.zeros(spec.size))
 
 
 def atomic_write(path: str, *chunks) -> None:
@@ -155,6 +171,7 @@ def read_field(path: str) -> RealField:
             raise ConfigError(f"bad magic {magic!r} in {path}")
         try:
             spec = GridSpec(d, n, half_width)
+            check_budget(spec)
         except ConfigError as exc:  # a grid no config could state, or one over the memory budget
             raise ConfigError(f"{exc} in {path}") from None
         info = os.fstat(fh.fileno())

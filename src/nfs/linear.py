@@ -61,6 +61,11 @@ def solve_linear_full(spec: GridSpec, fh: np.ndarray, project: bool = False) -> 
 def solve_linear(f: RealField, project: bool = False) -> RealField:
     if not np.any(f.values):
         raise TrivialField("right-hand side is identically zero")
+    return _solve_linear(f, project)
+
+
+def _solve_linear(f: RealField, project: bool) -> RealField:
+    """solve_linear without its all-zero test: for a ProblemSpec's source, which ProblemSpec tested."""
     uh = solve_linear_full(f.spec, spectral.forward_folded(f), project)  # the phase is +1 at 0
     return spectral.inverse_folded(f.spec, uh)
 

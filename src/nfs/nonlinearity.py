@@ -15,8 +15,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polysub
 
 from . import spectral
-from .errors import AssumptionError, IntervalExceeded, NonconformingG
-from .grid import RealField, _count, check_same_grid
+from .errors import AssumptionError, IntervalExceeded, NFSError, NonconformingG
+from .grid import RealField, _count, _made, check_same_grid
 
 INTERVAL_SLACK = 1e-9
 
@@ -41,11 +41,14 @@ class C2Report:
     c2_norm: float
 
 
-def _horner(asc: np.ndarray, z) -> np.ndarray:
-    """Evaluate the polynomial with ascending coefficients `asc` at z, in place after z * a_J."""
+def _horner(asc: np.ndarray, z, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the polynomial with ascending coefficients `asc` at z, in place after z * a_J: in `out`, if given,
+    which must not be z."""
     if len(asc) == 1:
-        return np.full(np.shape(z), asc[0])
-    out = z * asc[-1]
+        out = np.empty(np.shape(z)) if out is None else out
+        out[...] = asc[0]
+        return out
+    out = np.multiply(z, asc[-1], out=out)
     for i, c in enumerate(asc[-2::-1]):
         if i:
             out *= z
@@ -107,30 +110,32 @@ def compose(g: Nonlinearity, u0: RealField, v: RealField, interval: IntervalI | 
 
     Values outside the interval by more than a tiny slack indicate that the
     iterate left the ball or that the embedding constant is loose; this is an
-    error, never a silent clamp. One blocked sweep forms u0 + v in a block of G, takes
-    its range, then g in place; neither input is written. G is a new buffer: held in
-    the iterate's, it raised the loop's peak RSS, as the heap lacked the holes its
-    spectra fill.
+    error, never a silent clamp. One blocked sweep forms u0 + v in a block temporary, takes
+    its range, then writes g of it into a block of G, a new buffer (held in the iterate's,
+    it raised the loop's peak RSS). It owns the loop's finiteness: the interval refuses a
+    NaN or inf in u0 + v, and |g| <= M < inf on it; without an interval, G is tested.
     """
     check_same_grid(u0, v)
     _count("compose")
 
     def block(b: slice, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple:
-        lo_hi = np.add(x, y, out=out).min(), out.max()
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below by name: the interval, or G's finiteness
-            np.copyto(out, g.g(out))
-        return lo_hi
+        z = np.add(x, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+            g.g(z, out=out)
+        return z.min(), z.max(), interval is not None or np.isfinite(out).all()
 
     G = np.empty_like(v.values)
-    lo_hi = spectral._map_blocks(u0.spec, block, u0.values, v.values, G)
+    parts = spectral._map_blocks(u0.spec, block, u0.values, v.values, G)
     if interval is not None:
-        lo, hi = np.minimum.reduce([r[0] for r in lo_hi]), np.maximum.reduce([r[1] for r in lo_hi])  # NaN stays
+        lo, hi = np.minimum.reduce([r[0] for r in parts]), np.maximum.reduce([r[1] for r in parts])  # NaN stays
+        if np.isnan(lo) or np.isnan(hi):
+            raise NFSError(f"pointwise range [{lo}, {hi}] of u0 + v is not a number")
         if lo < interval.lower - INTERVAL_SLACK or hi > interval.upper + INTERVAL_SLACK:
-            raise IntervalExceeded(
-                f"pointwise range [{lo}, {hi}] exceeds certified interval "
-                f"[{interval.lower}, {interval.upper}]"
-            )
-    return RealField(u0.spec, G)
+            raise IntervalExceeded(f"pointwise range [{lo}, {hi}] exceeds certified interval "
+                                   f"[{interval.lower}, {interval.upper}]")
+    elif not all(r[2] for r in parts):
+        raise NFSError("g(u0 + v) has non-finite values")
+    return _made(u0.spec, G)
 
 
 def c2_distance(g1: Nonlinearity, g2: Nonlinearity, interval: IntervalI) -> float:

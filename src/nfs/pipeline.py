@@ -15,10 +15,10 @@ from typing import Optional
 
 from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
-from .errors import GridMismatch, NonPositiveInput
+from .errors import GridMismatch, NonPositiveInput, TrivialField
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
-from .linear import solve_linear, solve_linear_full
+from .linear import _solve_linear, solve_linear_full
 from .nonlinearity import Nonlinearity, build_interval, c2_norm
 
 
@@ -33,7 +33,7 @@ class AssembledProblem:
     @cached_property
     def u0(self) -> RealField:
         """The linear solution, solved on first read (2 nd-FFTs); solve computes its own."""
-        return solve_linear(self.ps.source, self.ps.project_mean)
+        return _solve_linear(self.ps.source, self.ps.project_mean)
 
 
 def assemble_problem(
@@ -65,6 +65,8 @@ def assemble_problem(
     if g_other is not None:
         m = max(m, c2_norm(g_other, interval).c2_norm)
     k_l1 = spectral.norm_l1(kernel)
+    if k_l1 == 0.0:  # ProblemSpec tests each field, but the snapshot would first refuse this k_l1
+        raise TrivialField("kernel is identically zero")
     k_l2 = spectral.norm_l2(kernel)
     snapshot = make_snapshot(grid.d, rho, m, u0_h4, k_l1, k_l2, c_e)
     eps = snapshot.epsilon_max if epsilon is None else epsilon

@@ -42,7 +42,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy import fft
 
-from .grid import GridSpec, RealField, _count, check_same_grid
+from .grid import GridSpec, RealField, _count, _made, check_same_grid
 
 SHELL = 0.1  # relative thickness of the outer shell of the box
 BLOCK = 1 << 16  # modes per block of a blocked pass: a d5n8 half spectrum (20,480 modes) takes one
@@ -150,8 +150,11 @@ def _r2c(x: np.ndarray, workers: int) -> np.ndarray:
 
 
 def _c2r(x: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
+    """irfftn of x, which it overwrites: the c2c axes in place, then the last axis, as pocketfft's multi-axis c2r
+    would copy all of x first. n is a power of two, so the two 1/n factors are exact and the result is irfftn's."""
     _count("nd_fft")
-    return fft.irfftn(x, s=shape, overwrite_x=True, workers=workers)
+    x = fft.ifftn(x, axes=range(len(shape) - 1), overwrite_x=True, workers=workers)
+    return fft.irfft(x, n=shape[-1], axis=-1, overwrite_x=True, workers=workers)
 
 
 def dft(f: RealField) -> np.ndarray:
@@ -170,7 +173,7 @@ def inverse_folded(spec: GridSpec, coeffs: np.ndarray) -> RealField:
     """The field whose folded half spectrum is `coeffs`; `coeffs` itself is left as it is."""
     scaled, s = np.empty_like(coeffs), 1.0 / half_lattice(spec).scale
     _map_blocks(spec, lambda b, c, out: np.multiply(c, s, out=out), coeffs, scaled)
-    return RealField(spec, _c2r(scaled, spec.shape, _workers(spec)).reshape(-1))
+    return _made(spec, _c2r(scaled, spec.shape, _workers(spec)))
 
 
 def forward_transform(f: RealField) -> np.ndarray:

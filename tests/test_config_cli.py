@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from unittest import mock
 
@@ -21,7 +22,7 @@ from nfs import builders, cli, spectral
 from nfs.config import KEYS, KernelConfig, RunConfig, SourceConfig, echo_config, parse_config
 from nfs.errors import ConfigError, MassLeakage, TrivialField
 from nfs.fixedpoint import ContinuityReport, ContractionStats
-from nfs.grid import HEADER, MAGIC, GridSpec, RealField, read_field, write_field
+from nfs.grid import FIELDS, HEADER, MAGIC, GridSpec, RealField, read_field, write_field
 from nfs.linear import SequenceReport
 from nfs.nonlinearity import Nonlinearity
 from nfs.spectral import norm_l1
@@ -424,6 +425,35 @@ class TestCli:
         for name in ("u.nfs1", "trace.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    @pytest.mark.parametrize("refuse", ["submit", "start"])
+    def test_contraction_bytes_when_the_draw_thread_cannot_start(self, refuse, cfg_path, tmp_path, monkeypatch):
+        """Every submit to a pool but the blocked passes' fails, or every start of its thread (which leaves the draw
+        in the pool's queue), as when no thread can start: the pairs are drawn serially, with the same bytes."""
+        assert run_cli(["contraction", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
+        refused, submit, start = [], ThreadPoolExecutor.submit, threading.Thread.start
+
+        def failing_submit(pool, *args, **kwargs):
+            if pool._thread_name_prefix.startswith("nfs-blocks"):
+                return submit(pool, *args, **kwargs)
+            refused.append(pool)
+            raise RuntimeError("can't start new thread")
+
+        def failing_start(thread):
+            if not thread.name.startswith("ThreadPoolExecutor"):
+                return start(thread)
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        if refuse == "submit":
+            monkeypatch.setattr(ThreadPoolExecutor, "submit", failing_submit)
+        else:
+            monkeypatch.setattr(threading.Thread, "start", failing_start)
+        threads = threading.active_count()
+        assert run_cli(["contraction", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
+        assert len(refused) == 1 and threading.active_count() == threads
+        one, two = ((tmp_path / out / "contraction.csv").read_bytes() for out in ("one", "two"))
+        assert one == two
+
     def test_contraction_and_determinism(self, cfg_path, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert run_cli(["contraction", "--config", cfg_path, "--out", out1]) == 0
@@ -522,21 +552,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "truncated" in err and err.count("\n") == 1
 
-    def test_payload_length_checked_before_allocation(self, tmp_path, capsys, monkeypatch):
-        # a 20-byte file whose header promises 2,048 MB used to allocate it before reading 0 bytes
+    def _refused_before_allocation(self, n, tmp_path, capsys, monkeypatch) -> str:
+        """stderr of a solve whose kernel file is a bare header for n points, after checking that it exits 2
+        with one line and allocates no payload."""
         monkeypatch.delenv("NFS_MEMORY_BUDGET_MB", raising=False)
         path = tmp_path / "k.nfs1"
-        path.write_bytes(HEADER.pack(MAGIC, 1, 2**28, 1.0))
+        path.write_bytes(HEADER.pack(MAGIC, 1, n, 1.0))
         tracemalloc.start()
         try:
             rc = self._solve_with_kernel_file(tmp_path, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rc == 2
+        assert rc == 2 and peak < 2**20
         err = capsys.readouterr().err
-        assert err == f"config error: payload length 0 != expected {2**31} in {path}\n"
-        assert peak < 2**20
+        assert err.startswith("config error: ") and err.endswith(f" in {path}\n") and err.count("\n") == 1
+        return err
+
+    def test_payload_length_checked_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # a 20-byte file whose header promises 128 MB used to allocate it before reading 0 bytes
+        err = self._refused_before_allocation(2**24, tmp_path, capsys, monkeypatch)
+        assert f"payload length 0 != expected {2**27} in" in err
+
+    def test_header_over_memory_budget(self, tmp_path, capsys, monkeypatch):
+        # one field of 2,048 MB fits the default budget; a command's working set on its grid does not
+        err = self._refused_before_allocation(2**28, tmp_path, capsys, monkeypatch)
+        assert f"a command on {2**28} grid points needs about 36928 MB, over the memory budget of 4096 MB" in err
 
     @pytest.mark.parametrize(
         "d, n, half_width, named",
@@ -615,7 +656,7 @@ class TestCli:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak <= cli.FIELDS * 8 * 8**5
+        assert peak <= FIELDS * 8 * 8**5
 
     def test_field_file_grid_mismatch(self, tmp_path, capsys):
         gs = GridSpec(5, 4, 12.566370614359172)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import nfs
-from nfs import builders, fixedpoint, grid, pipeline, spectral
+from nfs import builders, cli, fixedpoint, grid, pipeline, spectral
 from nfs.fixedpoint import (
     ProblemSpec,
     apply_tg,
@@ -28,7 +28,7 @@ from nfs.fixedpoint import (
 )
 from nfs.grid import GridSpec, RealField, zeros_like
 from nfs.linear import solve_linear, solve_linear_full
-from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded,
+from nfs.errors import (AssumptionError, ConfigError, DegeneratePair, GridMismatch, IntervalExceeded, NFSError,
                         NonPositiveInput, OutsideBall, TrivialField)
 from nfs.bounds import epsilon_max
 from nfs.nonlinearity import IntervalI, Nonlinearity, build_interval, compose
@@ -186,30 +186,30 @@ class TestSolveFixedPoint:
 
     # The counts' formulas are conftest's COUNTS, measured once by its structural_counts fixture.
     def test_transform_and_linear_solve_counts(self, structural_counts):
-        got, want = structural_counts.per_solve("nd_fft", "linear_solve", "compose")
-        assert got == want
-        got, want = structural_counts.per_pairs("nd_fft", "linear_solve", "compose")
-        assert got == want
+        for count in (structural_counts.per_solve, structural_counts.per_pairs, structural_counts.per_command):
+            got, want = count("nd_fft", "linear_solve", "compose")
+            assert got == want
 
     def test_blocked_pass_count(self, structural_counts):
-        got, want = structural_counts.per_solve("blocked_pass")
-        assert got == want
+        for count in (structural_counts.per_solve, structural_counts.per_command):
+            got, want = count("blocked_pass")
+            assert got == want
 
     def test_contraction_pair_pass_count(self, structural_counts):
         got, want = structural_counts.per_pairs("blocked_pass")
         assert got == want
 
     def test_one_full_size_any_per_solve(self, structural_counts):
-        got, want = structural_counts.per_solve("full_size_any")
-        assert got == want
-        got, want = structural_counts.per_pairs("full_size_any")
-        assert got == want
+        """One per input field in a whole `nfs solve` or `nfs contraction`, ProblemSpec's; none in the loop."""
+        for count in (structural_counts.per_solve, structural_counts.per_pairs, structural_counts.per_command):
+            got, want = count("full_size_any")
+            assert got == want
 
     def test_full_size_finiteness_scans(self, structural_counts):
-        got, want = structural_counts.per_solve("finite_scan")
-        assert got == want
-        got, want = structural_counts.per_pairs("finite_scan")
-        assert got == want
+        """The builders' two; the loop's compositions check their own range, and no field it makes is scanned."""
+        for count in (structural_counts.per_solve, structural_counts.per_pairs, structural_counts.per_command):
+            got, want = count("finite_scan")
+            assert got == want
 
     def test_hot_paths_use_only_the_folded_pair(self, standard_scenario, monkeypatch):
         ps, u0 = standard_scenario.ps, standard_scenario.u0  # assembled before the calibrated pair is barred
@@ -356,6 +356,49 @@ class TestAssembleProblem:
             pipeline.assemble_problem(ps.grid, ps.kernel, huge, ps.g)
 
 
+class TestLoopFiniteness:
+    """compose owns the loop's finiteness, as no field the loop makes is scanned: each refusal keeps the type, and so
+    the exit code, of the scan of G that made it before, and ends a command with one stderr line."""
+
+    @staticmethod
+    def _overflowing() -> ProblemSpec:
+        """No snapshot, so no interval, and a source so large that g(u0) = u0^4 overflows in the first composition."""
+        ps = small_problem(0.5, g=Nonlinearity(coeffs=[0.0, 0.0, 1.0]))
+        return dataclasses.replace(ps, source=RealField(ps.grid, 1e100 * ps.source.values))
+
+    @staticmethod
+    def _one_error(args, capsys) -> str:
+        assert cli.main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_g_overflowing_without_an_interval(self, tmp_path, capsys, monkeypatch):
+        with np.errstate(over="ignore"), pytest.raises(NFSError) as exc:
+            solve_fixed_point(self._overflowing())
+        assert type(exc.value) is NFSError and str(exc.value) == "g(u0 + v) has non-finite values"
+        monkeypatch.setattr(cli, "solve_fixed_point", lambda ps: solve_fixed_point(self._overflowing()))
+        err = self._one_error(["solve", "--out", str(tmp_path)], capsys)
+        assert err == "error: g(u0 + v) has non-finite values\n"
+
+    def test_nan_in_u0_plus_v_meets_the_interval_test(self, standard_scenario, tmp_path, capsys, monkeypatch):
+        ps, v = standard_scenario.ps, zeros_like(standard_scenario.ps.grid)
+        v.values[7] = np.nan
+        with pytest.raises(NFSError) as exc:
+            compose(ps.g, standard_scenario.u0, v, ps.interval)
+        assert type(exc.value) is NFSError and str(exc.value) == "pointwise range [nan, nan] of u0 + v is not a number"
+        draw = fixedpoint.sample_ball_spectrum
+
+        def nan_draw(grid, rho, rng):  # its norm is NaN, which passes the ball check: NaN > rho is false
+            vh = draw(grid, rho, rng)
+            vh[(1,) * grid.d] = np.nan
+            return vh
+
+        monkeypatch.setattr(fixedpoint, "sample_ball_spectrum", nan_draw)
+        err = self._one_error(["contraction", "--out", str(tmp_path)], capsys)
+        assert err == "error: pointwise range [nan, nan] of u0 + v is not a number\n"
+
+
 class TestResidual:
     def test_zero_field_residual_is_source_norm(self):
         ps = small_problem(0.0)
@@ -467,7 +510,7 @@ class TestMeasureContraction:
 
     def test_equal_compositions_give_zero_ratio(self, standard_scenario):
         g = Nonlinearity(coeffs=[1.0])
-        g.g = np.zeros_like  # both compositions vanish, so the solve meets an all-zero spectrum
+        g.g = lambda z, out: out.fill(0.0)  # both compositions vanish, so the solve meets an all-zero spectrum
         ps = dataclasses.replace(standard_scenario.ps, g=g)
         stats = measure_contraction(ps, trials=3, seed=4, u0=standard_scenario.u0)
         assert stats.ratios == [0.0, 0.0, 0.0]

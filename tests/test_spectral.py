@@ -141,11 +141,21 @@ class TestThreadedTransforms:
         serial = scipy.fft.irfftn(folded * (1.0 / lattice.scale), s=spec.shape, workers=1)
         assert np.array_equal(spectral.inverse_folded(spec, folded).reshaped(), serial)
 
+    @pytest.mark.parametrize("d, n", [(5, 8), (5, 16), (7, 8), (3, 16), (2, 4), (1, 8)])
+    def test_split_inverse_is_irfftn_bitwise(self, d, n):
+        """The c2c axes, then the last axis' c2r: n is a power of two, so both 1/n factors are exact."""
+        spec, rng = GridSpec(d, n, 4.0), np.random.default_rng(d * n)
+        for _ in range(3):
+            x = rng.standard_normal(spec.half_shape) + 1j * rng.standard_normal(spec.half_shape)
+            want = scipy.fft.irfftn(x, s=spec.shape)
+            assert np.array_equal(spectral._c2r(x.copy(), spec.shape, spectral._workers(spec)), want)
+
     @pytest.mark.parametrize("n, expected", [(8, 1), (16, allowed_cpus())])
     def test_workers_follow_grid_size(self, monkeypatch, n, expected):
-        """Contraction's d5n8 grid (2^15 points) stays serial; d5n16 (2^20 points) uses every CPU."""
+        """Contraction's d5n8 grid (2^15 points) stays serial; d5n16 (2^20 points) uses every CPU. The inverse is
+        an ifftn over the leading axes and an irfft of the last."""
         seen = []
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfftn", "ifftn", "irfft"):
             def recording(*args, _fn=getattr(scipy.fft, name), **kwargs):
                 seen.append(kwargs.get("workers"))
                 return _fn(*args, **kwargs)
@@ -153,7 +163,7 @@ class TestThreadedTransforms:
             monkeypatch.setattr(scipy.fft, name, recording)
         spec = GridSpec(5, n, 4.0)
         inverse_transform(spec, forward_transform(RealField(spec, np.ones(spec.size))))
-        assert seen == [expected, expected]
+        assert seen == [expected, expected, expected]
 
 
 class TestMapBlocks:
