@@ -25,7 +25,8 @@ def _gaussian_hump(grid: GridSpec, center: np.ndarray, width: float) -> np.ndarr
     w = coords - center[:, None]  # row i: x - center[i] on axis i, wrapped into [-L, L)
     w -= period * np.floor((w + grid.half_width) / period)
     sq = reduce(np.add.outer, w * w)
-    return np.exp(-sq / (2.0 * width**2)).reshape(-1)
+    np.divide(sq, -(2.0 * width**2), out=sq)  # x / (-c) is -x / c bit for bit, with no -sq array
+    return np.exp(sq, out=sq).reshape(-1)
 
 
 def check_gates(f: RealField, what: str) -> None:
@@ -45,8 +46,8 @@ def build_gaussian_kernel(grid: GridSpec, sigma: float, amplitude: float) -> Rea
     if not 0.0 < 2.0 * sigma * sigma < np.inf:  # 2 sigma^2 underflows to 0 or overflows
         raise NonPositiveInput(f"kernel.sigma = {sigma}: 2 sigma^2 must be positive and finite")
     center = np.zeros(grid.d)
-    values = amplitude * _gaussian_hump(grid, center, sigma)
-    f = RealField(grid, values)
+    values = _gaussian_hump(grid, center, sigma)
+    f = RealField(grid, np.multiply(values, amplitude, out=values))
     check_gates(f, "kernel")
     return f
 
@@ -75,8 +76,10 @@ def build_gaussian_diff_source(
     m1, m2 = np.sum(h1), np.sum(h2)
     if m2 == 0.0:
         raise TrivialField("second source hump vanished on the grid")
-    values = amplitude * (h1 - (m1 / m2) * h2)
-    f = RealField(grid, values)
+    # amplitude * (h1 - (m1 / m2) * h2), in place and in that order: one field besides h1
+    np.subtract(h1, np.multiply(h2, m1 / m2, out=h2), out=h1)
+    del h2
+    f = RealField(grid, np.multiply(h1, amplitude, out=h1))
     check_gates(f, "source")
     return f
 

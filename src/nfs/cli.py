@@ -21,7 +21,7 @@ from .config import RunConfig, echo_config, parse_config, show_float
 from .errors import AssumptionError, ConfigError, IterationError, NFSError
 from .fixedpoint import continuity_experiment, measure_contraction, solve_fixed_point
 from .grid import GridSpec, RealField, atomic_write, check_budget, memory_budget_mb, need_mb, read_field, write_field
-from .linear import SEQUENCE_SLACK, sequence_experiment, solve_linear
+from .linear import SEQUENCE_SLACK, finite, sequence_experiment, solve_linear
 from .nonlinearity import IntervalI, Nonlinearity, c2_norm
 from .pipeline import assemble_problem
 
@@ -101,8 +101,8 @@ def cmd_solve_linear(cfg: RunConfig, out: str) -> int:
     gs = _build_grid(cfg)
     source = _build_source(cfg, gs)
     u0 = solve_linear(source, cfg.project_mean)
+    norms = {k: finite(f"u0.{k}", v) for k, v in builders.field_norms(u0).items()}
     write_field(os.path.join(out, "u0.nfs1"), u0)
-    norms = builders.field_norms(u0)
     _report(out, "solve_linear.txt", cfg, [f"u0.{k} = {show_float(v)}" for k, v in norms.items()])
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spectral
 from .bounds import sphere_measure
-from .errors import NonDecayingSource, TrivialField
+from .errors import NonDecayingSource, NonPositiveInput, TrivialField
 from .grid import GridSpec, RealField, _count
 
 
@@ -34,6 +34,13 @@ class SequenceReport:
     @property
     def verdict(self) -> bool:
         return all(self.ok)
+
+
+def finite(name: str, value: float) -> float:
+    """`value`, refused by name if a norm overflowed: an inf passes every `<=` it is tested by."""
+    if not np.isfinite(value):
+        raise NonPositiveInput(f"{name} must be finite, got {value}; scale the source down")
+    return value
 
 
 def solve_linear_full(spec: GridSpec, fh: np.ndarray, project: bool = False) -> np.ndarray:
@@ -95,10 +102,10 @@ def sequence_experiment(
         un = solve_linear(fn, project)
         diff_f = RealField(f.spec, fn.values - f.values)
         diff_u = RealField(f.spec, un.values - u.values)
-        df_l1 = spectral.norm_l1(diff_f)
-        df_l2 = spectral.norm_l2(diff_f)
-        du_h4 = spectral.norm_h4(diff_u)
-        maj = sequence_majorant(df_l1, df_l2, d)
+        df_l1 = finite("df_l1", spectral.norm_l1(diff_f))
+        df_l2 = finite("df_l2", spectral.norm_l2(diff_f))
+        du_h4 = finite("du_h4", spectral.norm_h4(diff_u))
+        maj = finite("majorant", sequence_majorant(df_l1, df_l2, d))
         report.df_l1.append(df_l1)
         report.df_l2.append(df_l2)
         report.du_h4.append(du_h4)

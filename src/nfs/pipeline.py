@@ -8,17 +8,16 @@ is read: the constants need only its spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from . import spectral
 from .bounds import BoundsSnapshot, embedding_constant, make_snapshot
-from .errors import GridMismatch, NonPositiveInput, TrivialField
+from .errors import GridMismatch, TrivialField
 from .fixedpoint import ProblemSpec
 from .grid import GridSpec, RealField
-from .linear import _solve_linear, solve_linear_full
+from .linear import _solve_linear, finite, solve_linear_full
 from .nonlinearity import Nonlinearity, build_interval, c2_norm
 
 
@@ -56,9 +55,7 @@ def assemble_problem(
     if kernel.spec != grid:  # the problem's grid is its kernel's
         raise GridMismatch(f"kernel grid {kernel.spec} differs from problem grid {grid}")
     u0h = solve_linear_full(grid, spectral.forward_folded(source), project_mean)  # folded: same norms
-    u0_h4 = spectral.norm_h4_spectral(grid, u0h)
-    if not math.isfinite(u0_h4):
-        raise NonPositiveInput(f"u0_h4 must be finite, got {u0_h4}; scale the source down")
+    u0_h4 = finite("u0_h4", spectral.norm_h4_spectral(grid, u0h))
     c_e = embedding_constant(grid.d)
     interval = build_interval(u0_h4, c_e)
     m = c2_norm(g, interval).c2_norm

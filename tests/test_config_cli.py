@@ -5,11 +5,14 @@ import contextlib
 import dataclasses
 import io
 import os
+import resource
+import subprocess
 import sys
 import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from operator import attrgetter
 from unittest import mock
 
@@ -340,6 +343,40 @@ class TestBuilders:
         want = np.exp(-sq / (2.0 * width**2))
         assert np.array_equal(builders._gaussian_hump(gs, center, width), want)
 
+    @pytest.mark.parametrize(
+        "sigma, k_amp, centers, widths, s_amp",
+        [(1.0, 1.0, (1.0, -1.0), (1.0, 1.0), 1.0), (0.7, -2.5, (1.3, -0.4), (0.9, 1.3), 3.7e-3)],
+        ids=["default", "non-default"],
+    )
+    def test_builders_allocate_only_their_field(self, sigma, k_amp, centers, widths, s_amp):
+        """Each builder rounds as the out-of-place expressions, bit for bit, and peaks at two fields: the one it
+        returns and one more (the second hump, or the shell gate's |f|)."""
+        gs = GridSpec(5, 8, 4.0 * np.pi)
+        # the hump's last outer sum holds its n^(d-1) operand (32 kB) and numpy's iterator buffers (about 130 kB)
+        bound = 2 * 8 * gs.size + 192 * 1024
+
+        def traced(build):
+            tracemalloc.start()
+            try:
+                return build(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def hump(c0, width):
+            center = np.zeros(gs.d)
+            center[0] = c0
+            w = gs.axis_coords() - center[:, None]
+            w -= 2.0 * gs.half_width * np.floor((w + gs.half_width) / (2.0 * gs.half_width))
+            return np.exp(-reduce(np.add.outer, w * w) / (2 * width**2)).reshape(-1)
+
+        kernel, k_peak = traced(lambda: builders.build_gaussian_kernel(gs, sigma, k_amp))
+        source, s_peak = traced(lambda: builders.build_gaussian_diff_source(gs, centers, widths, s_amp))
+        h1, h2 = hump(centers[0], widths[0]), hump(centers[1], widths[1])
+        m1, m2 = np.sum(h1), np.sum(h2)
+        assert np.array_equal(kernel.values.view(np.int64), (k_amp * hump(0.0, sigma)).view(np.int64))
+        assert np.array_equal(source.values.view(np.int64), (s_amp * (h1 - (m1 / m2) * h2)).view(np.int64))
+        assert k_peak <= bound and s_peak <= bound, (k_peak, s_peak, bound)
+
     def test_small_box_leaks_mass(self):
         gs = GridSpec(2, 16, 1.5)
         with pytest.raises(MassLeakage):
@@ -639,6 +676,32 @@ class TestCli:
         assert err.startswith("config error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
         assert f"on {8**5} grid points" in err and "estimates 68 MB" in err and "NFS_MEMORY_BUDGET_MB is 300;" in err
 
+    @pytest.mark.parametrize("limit_mb, code", [(340, 2), (500, 0)], ids=["below-pass-point", "generous"])
+    def test_address_space_limit(self, limit_mb, code, tmp_path, monkeypatch):
+        """`nfs solve` at d5n16 in a child whose address space is capped: one line and exit 2, or a solve.
+
+        The child's soft RLIMIT_AS is lowered, never raised. At d5n16 it passes from about 370 MB. Below about
+        320 MB pocketfft's thread start fails first, with a RuntimeError that still ends in exit 1 (ROADMAP item 16)."""
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY and soft < limit_mb << 20:
+            pytest.skip(f"this process's address space is already capped at {soft >> 20} MB")
+        monkeypatch.delenv("NFS_MEMORY_BUDGET_MB", raising=False)
+        (tmp_path / "run.cfg").write_text("grid.dimension = 5\ngrid.n = 16\n")
+        # numpy's BLAS reserves address space per thread at import, so these limits hold for a fixed thread count
+        # (with 1 thread, solves passed at 290-340 MB)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)), OPENBLAS_NUM_THREADS="2")
+        run = subprocess.run(
+            [sys.executable, "-m", "nfs.cli", "solve", "--config", "run.cfg", "--out", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, hard)),
+        )
+        assert run.returncode == code, run.stderr
+        if code:
+            assert run.stderr.startswith("config error: out of memory on 1048576 grid points")
+            assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+        else:
+            assert run.stderr == "" and (tmp_path / "out" / "u.nfs1").stat().st_size == 8 * 16**5 + HEADER.size
+
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_memory_budget_not_an_integer(self, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NFS_MEMORY_BUDGET_MB", value)
@@ -701,6 +764,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert named in err and err.count("\n") == 1
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("command, named", [("sequences", "df_l2"), ("solve-linear", "u0.l2")])
+    def test_overflowing_norm_refused(self, command, named, tmp_path, capsys):
+        # these norms overflow to inf, which passed the majorant's `<=` and was reported as a result
+        p, out = tmp_path / "run.cfg", tmp_path / "out"
+        p.write_text("grid.dimension = 5\ngrid.n = 8\nsource.amplitude = 1e300\n")
+        assert run_cli([command, "--config", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"assumption violated: {named} must be finite, got inf; scale the source down\n"
+        assert os.listdir(out) == []  # no field, csv or report
 
     @pytest.mark.parametrize(
         "epsilon, code, first",
